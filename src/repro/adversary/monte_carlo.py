@@ -24,7 +24,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..mec.fleet import FleetReport, FleetSimulation, FleetStatistics
+from ..mec.fleet import (
+    FleetReport,
+    FleetSimulation,
+    FleetStatistics,
+    _episode_metrics,
+    validate_execution_options,
+)
 from ..sim.parallel import get_shared, parallel_map, resolve_workers, shard_slices
 from ..sim.seeding import spawn_sequences_range
 from .detector import AdversaryDetector
@@ -41,30 +47,20 @@ def _report_shard_worker(task) -> list[FleetReport]:
     seed, start, stop, engine, chunk_slots, regions, run_stack = task
     simulation: FleetSimulation = get_shared()
     children = spawn_sequences_range(seed, start, stop)
-    # The per-service "loop" reference has no stacked form; run_stack is
-    # execution-only, so the per-episode fallback there changes nothing.
-    step = max(run_stack if engine in ("batch", "stream") else 1, 1)
+    if engine == "loop":
+        # The per-service reference has no stacked form; run_stack is
+        # execution-only, so playing it episode by episode changes nothing.
+        return [simulation.run(child, engine="loop") for child in children]
     reports: list[FleetReport] = []
-    for base in range(0, len(children), step):
-        group = children[base : base + step]
-        if len(group) == 1:
-            reports.append(
-                simulation.run(
-                    group[0],
-                    engine=engine,
-                    chunk_slots=chunk_slots,
-                    regions=regions,
-                )
-            )
-        else:
-            reports.extend(
-                simulation.run_stacked(
-                    group,
-                    engine=engine,
-                    chunk_slots=chunk_slots,
-                    regions=regions,
-                ).to_reports()
-            )
+    for base in range(0, len(children), run_stack):
+        reports.extend(
+            simulation.run_stacked(
+                children[base : base + run_stack],
+                engine=engine,
+                chunk_slots=chunk_slots,
+                regions=regions,
+            ).to_reports()
+        )
     return reports
 
 
@@ -88,12 +84,11 @@ def simulate_fleet_reports(
     ``run_stack`` folds that many runs of each shard into one pass of
     the slot kernel (:func:`repro.mec.runstack.run_stacked`).  All three
     are execution-only: the report list is bit-identical for every
-    setting.
+    setting.  They are validated here, before any worker starts.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be positive")
-    if run_stack < 1:
-        raise ValueError("run_stack must be positive")
+    validate_execution_options(engine, chunk_slots, regions, run_stack)
     workers = min(resolve_workers(workers), n_runs)
     tasks = [
         (seed, shard.start, shard.stop, engine, chunk_slots, regions, run_stack)
@@ -146,25 +141,6 @@ def run_adversary_monte_carlo(
         )
     if len(reports) != n_runs:
         raise ValueError(f"expected {n_runs} reports, got {len(reports)}")
-    tracking, detection, costs = [], [], []
-    migrations, rejected, spilled, evicted, stranded = [], [], [], [], []
-    for report in reports:
-        evaluation = report.evaluate(simulation.chain, adversary)
-        tracking.append(evaluation.tracking_per_user)
-        detection.append(evaluation.detected_per_user)
-        costs.append(report.per_user_cost)
-        migrations.append(report.total_migrations)
-        rejected.append(report.placement.rejected)
-        spilled.append(report.placement.spilled)
-        evicted.append(report.placement.evicted)
-        stranded.append(report.placement.stranded)
-    return FleetStatistics(
-        tracking_runs=np.stack(tracking, axis=0),
-        detection_runs=np.stack(detection, axis=0),
-        cost_runs=np.stack(costs, axis=0),
-        migrations_runs=np.array(migrations, dtype=np.int64),
-        rejected_runs=np.array(rejected, dtype=np.int64),
-        spilled_runs=np.array(spilled, dtype=np.int64),
-        evicted_runs=np.array(evicted, dtype=np.int64),
-        stranded_runs=np.array(stranded, dtype=np.int64),
+    return FleetStatistics.from_runs(
+        [_episode_metrics(simulation, report, adversary) for report in reports]
     )

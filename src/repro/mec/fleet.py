@@ -18,13 +18,15 @@ regime:
 * per-user :class:`~repro.mec.costs.CostLedger`\\ s keep the cost-privacy
   trade-off attributable to individual users.
 
-Two engines produce bit-identical results for the same seed: ``"batch"``
-(default) runs the hot path as O(T) numpy work through the existing
-batched APIs (:meth:`ChaffStrategy.generate_batch`,
-:meth:`MarkovChain.evolve_from_uniforms`,
-:meth:`TrajectoryDetector.detect_batch`), while ``"loop"`` replays the
-naive per-user/per-service Python walk and serves as the reference for
-the equivalence tests and the speedup benchmark.
+The engines produce bit-identical results for the same seed.
+``"batch"`` (default) and ``"stream"`` are a stack of one run of
+:func:`repro.mec.runstack.run_stacked`, the one in-memory driver: it
+samples through the batched APIs (:meth:`ChaffStrategy.generate_batch`,
+:meth:`MarkovChain.evolve_from_uniforms`) and advances
+:class:`_FleetSlotKernel` through its single slot loop,
+:meth:`_FleetSlotKernel.advance`.  ``"loop"`` replays the naive
+per-user/per-service Python walk and serves as the independent
+reference for the equivalence tests and the speedup benchmark.
 
 All randomness of one run derives from a single
 :class:`~numpy.random.SeedSequence` (children spawned per user, for the
@@ -36,9 +38,11 @@ A :class:`~repro.world.timeline.Timeline` makes the world *dynamic*:
 mobility follows the regime schedule's time-varying chain, per-slot
 capacity views evict services off failed or shrunk sites, and churned
 users enter and leave mid-episode through an active-service mask threaded
-through the batch kernels.  An empty timeline is bit-identical to the
-static path in both engines, and the engines stay bit-identical to each
-other under any timeline.
+through the batch kernels.  The timeline is compiled once per
+simulation into a :class:`~repro.world.timeline.WorldSchedule`; every
+slot window reads slices of it.  An empty timeline is bit-identical to
+the static path in every engine, and the engines stay bit-identical to
+each other under any timeline.
 """
 
 from __future__ import annotations
@@ -85,6 +89,11 @@ __all__ = [
 
 #: Engines accepted by :meth:`FleetSimulation.run`.
 FLEET_ENGINES = ("batch", "loop", "stream")
+
+#: Target element budget of one bounded sampling block (users x horizon x
+#: services-per-user); blocks shrink as the horizon grows, keeping the
+#: sampler's heap roughly constant in ``T``.
+_BLOCK_TARGET_ELEMS = 1 << 20
 
 #: Elements above which :func:`materialise_full_plane` refuses to allocate.
 #: Sized so every plane the small-``M`` test and experiment configurations
@@ -413,13 +422,13 @@ class FleetReport:
 class _FleetSlotKernel:
     """One-slot advancement of the fleet's placement and cost state.
 
-    Extracted from the batch engine's slot loop so the streaming engine
-    (:mod:`repro.mec.streaming`) replays exactly the same operations
-    chunk by chunk: both engines drive this kernel slot by slot, so they
-    are bit-identical by construction.  The kernel owns everything that
-    crosses a chunk boundary — current cells, cost totals, migration
-    counters, the placement engine, and (dynamic worlds) the previous
-    slot's live mask and capacity view.
+    :meth:`advance` is the one slot loop: the in-memory driver
+    (:func:`repro.mec.runstack.run_stacked`) and the resumable streaming
+    engine (:mod:`repro.mec.streaming`) both call it window by window,
+    so they are bit-identical by construction.  The kernel owns
+    everything that crosses a window boundary — current cells, cost
+    totals, migration counters, the placement engine, and (dynamic
+    worlds) the previous slot's live mask and capacity view.
     """
 
     def __init__(
@@ -443,6 +452,14 @@ class _FleetSlotKernel:
         self.chaff_total = np.zeros(n_users, dtype=float)
         self.migrations = np.zeros(n_users, dtype=np.int64)
         self.service_migrations = np.zeros(n_services, dtype=np.int64)
+        # Activity window of every kernel user (a stacked kernel's users
+        # are S copies of the fleet's); None in a frozen world.
+        schedule = simulation._schedule
+        self.user_windows = (
+            None
+            if schedule is None
+            else np.tile(schedule.user_windows, (n_users // schedule.n_users, 1))
+        )
         # Dynamic-world carry: the previous slot's live mask and
         # capacity view (None until the first slot has run).
         self.prev_live: np.ndarray | None = None
@@ -514,6 +531,54 @@ class _FleetSlotKernel:
         self.service_migrations[moved] += 1
 
     # ------------------------------------------------------------------
+    def advance(
+        self,
+        start: int,
+        user_cols: np.ndarray,
+        plan_cols: np.ndarray,
+        histories: np.ndarray,
+        per_slot: "np.ndarray | None" = None,
+    ) -> None:
+        """Advance the slot window ``[start, start + width)``.
+
+        ``user_cols`` / ``plan_cols`` are the window's columns of the user
+        trajectories and service plans.  Each slot's cells land in the
+        matching column of ``histories`` (``-1`` where a service is
+        absent) and, when given, the per-user cumulative costs in
+        ``per_slot``.  The window starting at slot 0 instantiates the
+        fleet first.  A dynamic world's window is read as slices of the
+        simulation's compiled schedule.
+        """
+        schedule = self.sim._schedule
+        width = user_cols.shape[1]
+        if schedule is None:
+            if start == 0:
+                self.begin_static(plan_cols[:, 0])
+        else:
+            caps = schedule.capacities[start : start + width]
+            slots = np.arange(start, start + width)
+            windows = self.user_windows
+            active_u = (windows[:, :1] <= slots) & (slots < windows[:, 1:])
+            active_svc = active_u[self.owners]
+            if start == 0:
+                self.begin_dynamic(plan_cols[:, 0], active_svc[:, 0], caps[0])
+        for local in range(width):
+            if schedule is None:
+                self.step_static(user_cols[:, local], plan_cols[:, local])
+                histories[:, local] = self.cells
+            else:
+                live = active_svc[:, local]
+                self.step_dynamic(
+                    user_cols[:, local],
+                    plan_cols[:, local],
+                    live,
+                    caps[local],
+                    active_u[:, local],
+                )
+                histories[:, local] = np.where(live, self.cells, -1)
+            if per_slot is not None:
+                per_slot[:, local] = self.slot_cost_totals()
+
     def step_static(self, user_cells: np.ndarray, plan_col: np.ndarray) -> None:
         """Advance one slot of a frozen world (the original batch body)."""
         sim = self.sim
@@ -544,8 +609,8 @@ class _FleetSlotKernel:
         live: np.ndarray,
         caps_col: np.ndarray,
         active_now: np.ndarray,
-    ) -> np.ndarray:
-        """Advance one slot of a dynamic world; returns the live rows.
+    ) -> None:
+        """Advance one slot of a dynamic world.
 
         World transitions (departures -> capacity change and evictions ->
         arrivals) run first — skipped on the episode's very first slot,
@@ -599,7 +664,6 @@ class _FleetSlotKernel:
         )
         self.prev_live = live.copy()
         self.prev_caps = np.asarray(caps_col).copy()
-        return live_rows
 
 
 class FleetSimulation:
@@ -725,41 +789,27 @@ class FleetSimulation:
     ) -> FleetReport:
         """Execute one fleet run.
 
-        ``engine="batch"`` (default) is the vectorised O(T) slot loop;
-        ``engine="loop"`` is the naive per-service Python reference;
-        ``engine="stream"`` advances the horizon in ``chunk_slots``-sized
-        chunks with a bounded working set, optionally sharding placement
-        over ``regions`` topology regions (``region_workers`` threads).
-        All three are bit-identical for the same ``seed`` — the streaming
+        ``engine="batch"`` (default) and ``engine="stream"`` run a stack of
+        one through :meth:`run_stacked`: batch advances the whole horizon
+        as one window, stream advances ``chunk_slots``-sized windows with
+        bounded sampling blocks, optionally sharding placement over
+        ``regions`` topology regions (``region_workers`` threads).
+        ``engine="loop"`` is the naive per-service Python reference.  All
+        three are bit-identical for the same ``seed`` — the streaming
         knobs change execution, never results.
         """
         if engine not in FLEET_ENGINES:
             raise ValueError(f"engine must be one of {FLEET_ENGINES}, got {engine!r}")
-        if engine == "stream":
-            # Deferred import: streaming builds on this module.
-            from .streaming import StreamingFleetEngine
-
-            streaming = StreamingFleetEngine(
-                self,
-                chunk_slots=chunk_slots,
-                regions=regions,
-                region_workers=region_workers,
-                recorder=recorder,
-            )
-            return streaming.run_to_report(seed)
-        root = as_seed_sequence(seed)
-        n_users = self.config.n_users
-        children = root.spawn(n_users + 2)
-        user_rngs = [np.random.default_rng(child) for child in children[:n_users]]
-        shuffle_rng = np.random.default_rng(children[n_users])
-        evaluation_seed = children[n_users + 1]
-        if engine == "batch":
-            return self._run_batch(
-                user_rngs, shuffle_rng, evaluation_seed, recorder=recorder
-            )
-        return self._run_loop(
-            user_rngs, shuffle_rng, evaluation_seed, recorder=recorder
-        )
+        if engine == "loop":
+            return self._run_loop(*self._episode_streams(seed), recorder=recorder)
+        return self.run_stacked(
+            [seed],
+            engine=engine,
+            chunk_slots=chunk_slots,
+            regions=regions,
+            region_workers=region_workers,
+            recorder=recorder,
+        ).to_reports()[0]
 
     def run_stacked(
         self,
@@ -781,7 +831,7 @@ class FleetSimulation:
         bit-identical to running each seed through :meth:`run`.
         ``engine`` accepts ``"batch"`` and ``"stream"`` (the per-service
         ``"loop"`` reference has no stacked form; Monte-Carlo callers
-        fall back to per-episode runs there).
+        run it episode by episode).
         """
         # Deferred import: the run-stacked engine builds on this module.
         from .runstack import run_stacked as _run_stacked
@@ -800,6 +850,28 @@ class FleetSimulation:
     # ------------------------------------------------------------------
     # Shared pieces
     # ------------------------------------------------------------------
+    def _episode_streams(self, seed: "int | np.random.SeedSequence") -> tuple[
+        list[np.random.Generator], np.random.Generator, np.random.SeedSequence
+    ]:
+        """``(user_rngs, shuffle_rng, evaluation_seed)`` of one run.
+
+        One child per user, then one for the observation shuffle and
+        one for detector evaluation — the canonical layout every engine
+        draws from.
+        """
+        n_users = self.config.n_users
+        children = as_seed_sequence(seed).spawn(n_users + 2)
+        user_rngs = [np.random.default_rng(child) for child in children[:n_users]]
+        return user_rngs, np.random.default_rng(children[n_users]), children[-1]
+
+    def _presentation_order(
+        self, shuffle_rng: np.random.Generator, n_services: int
+    ) -> np.ndarray:
+        """The observation plane's row order: one draw from the shuffle child."""
+        if self.config.shuffle_observations:
+            return shuffle_rng.permutation(n_services)
+        return np.arange(n_services)
+
     def _service_layout(
         self, budgets: tuple[int, ...]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -838,38 +910,45 @@ class FleetSimulation:
         return self.chain.sample_trajectory_randomness(horizon, rng)
 
     def _sample_block(
-        self, start: int, stop: int, rngs: "list[np.random.Generator]"
+        self,
+        run_rngs: "list[list[np.random.Generator]]",
+        start: int,
+        stop: int,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Sample users ``[start, stop)`` and their services' plans.
+        """Sample users ``[start, stop)`` of a stack of runs, with plans.
 
-        Returns ``(users_block, plans_block)``: the ``(stop - start, T)``
-        user trajectories and the ``(rows, T)`` service plans of the
-        block in service-id order (each user's real row holds the user's
-        own trajectory as a placeholder; real targets are policy-driven
-        per slot).  Every user's draws come only from that user's
-        generator — trajectory randomness first, then chaffs — so
-        sampling the fleet in blocks is bit-identical to sampling it
-        whole.  The batch engine samples one all-users block; the
-        streaming engine walks bounded blocks and spills them.
+        ``run_rngs`` holds each run's per-user generators.  Returns
+        ``(users, plans)``, both run-major: the ``(S * count, T)`` user
+        trajectories and the block's service plans in service-id order
+        (each user's real row holds the user's own trajectory as a
+        placeholder; real targets are policy-driven per slot).  All
+        trajectories evolve in one vectorised shot, and each (strategy,
+        budget) group's chaffs come from one ``generate_batch`` call
+        across the stack.  Every user's draws come only from that user's
+        generator — trajectory randomness first, then chaffs — so any
+        blocking or stacking of the fleet is bit-identical to sampling
+        each run whole (:meth:`_sample_bounded` walks bounded blocks).
         """
         horizon = self.config.horizon
         budgets = self.config.chaffs_per_user()[start:stop]
         count = stop - start
-        initial = np.empty(count, dtype=np.int64)
-        uniforms = np.empty((count, max(horizon - 1, 0)), dtype=float)
-        for position in range(count):
-            initial[position], uniforms[position] = self._sample_user(
-                start + position, rngs[position]
-            )
-        users_block = self.chain.evolve_from_uniforms(
+        stack_size = len(run_rngs)
+        initial = np.empty(stack_size * count, dtype=np.int64)
+        uniforms = np.empty((stack_size * count, max(horizon - 1, 0)), dtype=float)
+        for run, rngs in enumerate(run_rngs):
+            for position in range(count):
+                initial[run * count + position], uniforms[run * count + position] = (
+                    self._sample_user(start + position, rngs[start + position])
+                )
+        users = self.chain.evolve_from_uniforms(
             initial, uniforms, transition_stack=self._stack
         )
-        per_user = np.asarray([1 + budget for budget in budgets], dtype=np.int64)
-        first_row = np.zeros(count, dtype=np.int64)
-        if count > 1:
-            first_row[1:] = np.cumsum(per_user[:-1])
-        plans_block = np.empty((int(per_user.sum()), horizon), dtype=np.int64)
-        plans_block[first_row] = users_block
+        per_user = 1 + np.asarray(budgets, dtype=np.int64)
+        first_row = np.concatenate([[0], np.cumsum(per_user[:-1])]).astype(np.int64)
+        rows_per_run = int(per_user.sum())
+        run_base = np.arange(stack_size, dtype=np.int64)[:, None] * rows_per_run
+        plans = np.empty((stack_size * rows_per_run, horizon), dtype=np.int64)
+        plans[(run_base + first_row).ravel()] = users
         groups: dict[tuple[int, int], list[int]] = {}
         for position, budget in enumerate(budgets):
             if budget > 0:
@@ -878,16 +957,39 @@ class FleetSimulation:
                 ).append(position)
         for (_, budget), members in groups.items():
             strategy = self.strategies[start + members[0]]
+            assert strategy is not None  # groups only hold budget > 0 users
+            positions = np.asarray(members, dtype=np.int64)
             chaffs = strategy.generate_batch(
                 self.chain,
-                users_block[members],
+                users[(np.arange(stack_size)[:, None] * count + positions).ravel()],
                 budget,
-                [rngs[position] for position in members],
+                [rngs[start + position] for rngs in run_rngs for position in members],
             )
-            for member_index, position in enumerate(members):
-                row = int(first_row[position]) + 1
-                plans_block[row : row + budget] = chaffs[member_index]
-        return users_block, plans_block
+            first_chaff = (run_base + first_row[positions]).ravel() + 1
+            rows = (first_chaff[:, None] + np.arange(budget)).ravel()
+            plans[rows] = chaffs.reshape(-1, horizon)
+        return users, plans
+
+    def _sample_bounded(
+        self,
+        rngs: "list[np.random.Generator]",
+        users_out: np.ndarray,
+        plans_out: np.ndarray,
+    ) -> None:
+        """Sample the whole fleet into ``users_out`` / ``plans_out`` in
+        user blocks of at most ``_BLOCK_TARGET_ELEMS`` plan elements, so
+        the sampler's working set stays bounded whatever ``M`` is."""
+        horizon = self.config.horizon
+        n_users = self.config.n_users
+        widest = 1 + max(self.config.chaffs_per_user())
+        block = max(1, _BLOCK_TARGET_ELEMS // max(horizon * widest, 1))
+        row = 0
+        for start in range(0, n_users, block):
+            stop = min(start + block, n_users)
+            users_block, plans_block = self._sample_block([rngs], start, stop)
+            users_out[start:stop] = users_block
+            plans_out[row : row + plans_block.shape[0]] = plans_block
+            row += plans_block.shape[0]
 
     def _decide_real_targets(
         self, service_cells: np.ndarray, user_cells: np.ndarray
@@ -929,10 +1031,9 @@ class FleetSimulation:
         service_migrations: np.ndarray,
         ledgers: list[CostLedger],
         placement: PlacementStats,
-        shuffle_rng: np.random.Generator,
         evaluation_seed: np.random.SeedSequence,
-        svc_windows: np.ndarray | None = None,
-        order: np.ndarray | None = None,
+        svc_windows: np.ndarray | None,
+        order: np.ndarray,
     ) -> FleetReport:
         # A churned service's final cell is the last one it occupied (its
         # history keeps -1 on the slots where it did not exist).
@@ -954,13 +1055,6 @@ class FleetSimulation:
             )
             for row in range(histories.shape[0])
         ]
-        if order is None:
-            # The streaming engine draws the permutation once at run end
-            # (the same single draw) and passes it in, because both its
-            # materialise() and its incremental evaluate() need it.
-            order = np.arange(histories.shape[0])
-            if self.config.shuffle_observations:
-                order = shuffle_rng.permutation(histories.shape[0])
         row_of_service = np.empty_like(order)
         row_of_service[order] = np.arange(order.size)
         real_rows = row_of_service[np.flatnonzero(is_real)]
@@ -979,91 +1073,6 @@ class FleetSimulation:
             evaluation_seed=evaluation_seed,
             windows=None if svc_windows is None else svc_windows[order],
             transition_stack=self._stack,
-        )
-
-    # ------------------------------------------------------------------
-    # Batch engine: O(T) numpy slot loop
-    # ------------------------------------------------------------------
-    def _run_batch(
-        self,
-        user_rngs: list[np.random.Generator],
-        shuffle_rng: np.random.Generator,
-        evaluation_seed: np.random.SeedSequence,
-        recorder=NULL_RECORDER,
-    ) -> FleetReport:
-        config = self.config
-        n_users, horizon = config.n_users, config.horizon
-        budgets = config.chaffs_per_user()
-
-        # 1 + 2. All user trajectories in one vectorised chain evolution
-        #    and chaff plans through generate_batch — one all-users block
-        #    of the shared block sampler (the streaming engine walks the
-        #    same sampler in bounded blocks; the streams are identical
-        #    because every user draws only from their own generator).
-        owners, is_real, service_ids = self._service_layout(budgets)
-        n_services = owners.size
-        with recorder.span("kernel/sample", engine="batch", users=n_users):
-            users, plans = self._sample_block(0, n_users, user_rngs)
-
-        # 3 + 4. Capacity-enforced instantiation and the O(T) slot loop,
-        #    one _FleetSlotKernel step per slot (the kernel body is the
-        #    original batch loop, verbatim; golden-seed tests pin it).
-        schedule = self._schedule
-        per_slot = np.empty((n_users, horizon), dtype=float)
-        kernel = _FleetSlotKernel(
-            self, owners, is_real, PlacementEngine(self.topology)
-        )
-        svc_windows: np.ndarray | None = None
-        with recorder.span("kernel/placement", engine="batch", slots=horizon):
-            if schedule is None:
-                kernel.begin_static(plans[:, 0])
-                histories = np.empty((n_services, horizon), dtype=np.int64)
-                for slot in range(horizon):
-                    kernel.step_static(users[:, slot], plans[:, slot])
-                    histories[:, slot] = kernel.cells
-                    per_slot[:, slot] = kernel.slot_cost_totals()
-            else:
-                caps = schedule.capacities
-                active_u = schedule.active_users()
-                active_svc = active_u[owners]
-                svc_windows = schedule.user_windows[owners]
-                kernel.begin_dynamic(plans[:, 0], active_svc[:, 0], caps[0])
-                histories = np.full((n_services, horizon), -1, dtype=np.int64)
-                for slot in range(horizon):
-                    live_rows = kernel.step_dynamic(
-                        users[:, slot],
-                        plans[:, slot],
-                        active_svc[:, slot],
-                        caps[slot],
-                        active_u[:, slot],
-                    )
-                    histories[live_rows, slot] = kernel.cells[live_rows]
-                    per_slot[:, slot] = kernel.slot_cost_totals()
-        recorder.record_stats("placement", kernel.placement.stats.as_dict())
-
-        ledgers = [
-            CostLedger(
-                migration_total=float(kernel.mig_total[user]),
-                communication_total=float(kernel.comm_total[user]),
-                chaff_total=float(kernel.chaff_total[user]),
-                migrations=int(kernel.migrations[user]),
-                slots=horizon,
-                _per_slot=per_slot[user].tolist(),
-            )
-            for user in range(n_users)
-        ]
-        return self._build_report(
-            users,
-            histories,
-            owners,
-            is_real,
-            service_ids,
-            kernel.service_migrations,
-            ledgers,
-            kernel.placement.stats,
-            shuffle_rng,
-            evaluation_seed,
-            svc_windows,
         )
 
     # ------------------------------------------------------------------
@@ -1208,9 +1217,9 @@ class FleetSimulation:
             service_migrations,
             ledgers,
             placement.stats,
-            shuffle_rng,
             evaluation_seed,
             svc_windows,
+            self._presentation_order(shuffle_rng, n_services),
         )
 
 
@@ -1233,19 +1242,20 @@ class FleetStatistics:
     migrations_runs: np.ndarray
     rejected_runs: np.ndarray
     spilled_runs: np.ndarray
-    evicted_runs: np.ndarray = None  # type: ignore[assignment]
-    stranded_runs: np.ndarray = None  # type: ignore[assignment]
+    evicted_runs: np.ndarray
+    stranded_runs: np.ndarray
 
-    def __post_init__(self) -> None:
-        # Older call sites built the statistics without the dynamic-world
-        # counters; default them to zero per run.
-        for name in ("evicted_runs", "stranded_runs"):
-            if getattr(self, name) is None:
-                object.__setattr__(
-                    self,
-                    name,
-                    np.zeros(self.tracking_runs.shape[0], dtype=np.int64),
-                )
+    @classmethod
+    def from_runs(cls, runs: "Sequence[tuple]") -> "FleetStatistics":
+        """Stack per-run metric tuples (:func:`_episode_metrics`'s layout)
+        in run order."""
+        tracking, detection, cost, *counts = zip(*runs, strict=True)
+        return cls(
+            np.stack(tracking, axis=0),
+            np.stack(detection, axis=0),
+            np.stack(cost, axis=0),
+            *(np.array(count, dtype=np.int64) for count in counts),
+        )
 
     @property
     def n_runs(self) -> int:
@@ -1334,6 +1344,21 @@ def _episode_metrics(
     )
 
 
+def validate_execution_options(
+    engine: str, chunk_slots: int, regions: int, run_stack: int
+) -> None:
+    """Reject bad Monte-Carlo execution options before any pool starts."""
+    if engine not in FLEET_ENGINES:
+        raise ValueError(f"engine must be one of {FLEET_ENGINES}, got {engine!r}")
+    for name, value in (
+        ("chunk_slots", chunk_slots),
+        ("regions", regions),
+        ("run_stack", run_stack),
+    ):
+        if value < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
+
+
 def _fleet_shard_worker(task) -> "tuple[list[tuple], dict | None]":
     """Replay one contiguous shard of the fleet runs (module-level for pools).
 
@@ -1361,30 +1386,20 @@ def _fleet_shard_worker(task) -> "tuple[list[tuple], dict | None]":
     simulation: FleetSimulation = get_shared()
     metrics = []
     children = spawn_sequences_range(seed, start, stop)
-    # The per-service "loop" reference has no stacked form; run_stack is
-    # an execution-only knob, so falling back to per-episode runs there
-    # keeps the numbers bit-identical by definition.
-    step = run_stack if engine in ("batch", "stream") else 1
-    # Vectorised scoring reads the kernel's running cost totals, so the
-    # per-(user, slot) ledger plane is dead weight there — skip it.
-    collect = not supports_fast_metrics(detector)
     shard_token = recorder.begin("shard", start=start, stop=stop, engine=engine)
-    for base in range(0, len(children), max(step, 1)):
-        group = children[base : base + max(step, 1)]
-        if len(group) == 1:
-            report = simulation.run(
-                group[0],
-                engine=engine,
-                chunk_slots=chunk_slots,
-                regions=regions,
-                recorder=recorder,
-            )
-            metrics.append(
-                _episode_metrics(simulation, report, detector, recorder)
-            )
-        else:
+    if engine == "loop":
+        # The per-service reference has no stacked form; run_stack is
+        # execution-only, so playing it episode by episode changes nothing.
+        for child in children:
+            report = simulation.run(child, engine="loop", recorder=recorder)
+            metrics.append(_episode_metrics(simulation, report, detector, recorder))
+    else:
+        # Vectorised scoring reads the kernel's running cost totals, so
+        # the per-(user, slot) ledger plane is dead weight there — skip it.
+        collect = not supports_fast_metrics(detector)
+        for base in range(0, len(children), run_stack):
             outcome = simulation.run_stacked(
-                group,
+                children[base : base + run_stack],
                 engine=engine,
                 chunk_slots=chunk_slots,
                 regions=regions,
@@ -1419,12 +1434,12 @@ def run_fleet_monte_carlo(
     and ``regions`` only apply to ``engine="stream"``; ``run_stack``
     folds that many episodes of a shard into one pass of the slot
     kernel (:meth:`FleetSimulation.run_stacked`).  Like the engine and
-    worker count, none of these execution knobs ever change the numbers.
+    worker count, none of these execution knobs ever change the numbers;
+    all of them are validated here, before any worker starts.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be positive")
-    if run_stack < 1:
-        raise ValueError("run_stack must be positive")
+    validate_execution_options(engine, chunk_slots, regions, run_stack)
     detector = detector or MaximumLikelihoodDetector()
     workers = min(resolve_workers(workers), n_runs)
     knowledge = getattr(detector, "knowledge", None)
@@ -1467,14 +1482,4 @@ def run_fleet_monte_carlo(
     for index, (_, state) in enumerate(shards):
         if state is not None:
             recorder.merge(state, worker=index + 1)
-    metrics = [run for shard, _ in shards for run in shard]
-    return FleetStatistics(
-        tracking_runs=np.stack([m[0] for m in metrics], axis=0),
-        detection_runs=np.stack([m[1] for m in metrics], axis=0),
-        cost_runs=np.stack([m[2] for m in metrics], axis=0),
-        migrations_runs=np.array([m[3] for m in metrics], dtype=np.int64),
-        rejected_runs=np.array([m[4] for m in metrics], dtype=np.int64),
-        spilled_runs=np.array([m[5] for m in metrics], dtype=np.int64),
-        evicted_runs=np.array([m[6] for m in metrics], dtype=np.int64),
-        stranded_runs=np.array([m[7] for m in metrics], dtype=np.int64),
-    )
+    return FleetStatistics.from_runs([run for shard, _ in shards for run in shard])

@@ -38,6 +38,7 @@ __all__ = [
     "PlacementEngine",
     "RegionPartition",
     "ShardedPlacementEngine",
+    "placement_engine",
 ]
 
 
@@ -586,3 +587,12 @@ class ShardedPlacementEngine(PlacementEngine):
         self.stats.rejected += delta.rejected
         self.stats.evicted += delta.evicted
         self.stats.stranded += delta.stranded
+
+
+def placement_engine(
+    topology: MECTopology, *, regions: int = 1, workers: int = 1
+) -> PlacementEngine:
+    """The serial engine, or the region-sharded one when ``regions > 1``."""
+    if regions > 1:
+        return ShardedPlacementEngine(topology, regions=regions, workers=workers)
+    return PlacementEngine(topology)

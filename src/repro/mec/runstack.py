@@ -1,13 +1,14 @@
-"""Run-stacked fleet engine: a stack of episodes in one slot-kernel pass.
+"""Run-stacked fleet driver: a stack of episodes in one slot-kernel pass.
 
+:func:`run_stacked` is the one in-memory fleet driver.
+:meth:`~repro.mec.fleet.FleetSimulation.run` with ``engine="batch"`` or
+``"stream"`` is a stack of one, and
 :func:`~repro.mec.fleet.run_fleet_monte_carlo` and
-:func:`~repro.adversary.monte_carlo.simulate_fleet_reports` historically
-played their ``R`` episodes one at a time, each paying its own per-slot
-Python loop through :class:`~repro.mec.fleet._FleetSlotKernel`.  This
-module folds a stack of ``S = run_stack`` episodes into *one* pass of
-that kernel: the per-slot state machine advances ``(S * N)``-wide
-tensors instead of ``N``-wide ones, so the Python-level slot overhead is
-paid once per slot instead of once per slot per episode.
+:func:`~repro.adversary.monte_carlo.simulate_fleet_reports` send every
+group of ``S = run_stack`` episodes through it.  For ``S > 1`` the
+per-slot state machine advances ``(S * N)``-wide tensors instead of
+``N``-wide ones, so the Python-level slot overhead is paid once per slot
+instead of once per slot per episode.
 
 Stacking is an execution knob, never a modelling change:
 
@@ -24,7 +25,8 @@ Stacking is an execution knob, never a modelling change:
   engine would have taken its vectorised fast path.  Only the runs that
   actually contend fall back to their engine's greedy id-order walk —
   the same walk, on the same view of the same load state, in the same
-  order, as the per-episode path.
+  order, as the per-episode path.  A stack of one skips this layer and
+  drives the plain kernel with its own engine.
 * **Evaluation** scores the whole ``(S, N, T)`` stack in one vectorised
   shot for the shipped scoring detectors and replays the per-run
   tie-break draws from each run's own evaluation seed, reproducing
@@ -33,17 +35,16 @@ Stacking is an execution knob, never a modelling change:
   evaluation, which is always available through
   :meth:`StackedRunOutcome.to_reports`.
 
-``engine="stream"`` composes stacking with PR 8's bounded-memory
-tiling: sampling walks bounded user blocks per run, the slot loop
-advances ``run_stack x chunk_slots`` tiles (compiling dynamic-world
-windows lazily per chunk), and completed chunk planes are spilled to an
-ephemeral :class:`~repro.sim.cache.EpisodeStore` before being folded
-into the outcome.
+Batch runs the slot loop (:meth:`~repro.mec.fleet._FleetSlotKernel.advance`)
+as one ``[0, T)`` window.  ``engine="stream"`` samples each run in
+bounded user blocks and advances ``chunk_slots``-sized windows; a
+dynamic world's windows are slices of the schedule the simulation
+compiled once.  Nothing is spilled: the resumable, disk-backed driver is
+:class:`~repro.mec.streaming.StreamingFleetEngine`.
 """
 
 from __future__ import annotations
 
-import tempfile
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -55,7 +56,6 @@ from ..core.eavesdropper.detector import (
     TrajectoryDetector,
     trajectory_log_likelihoods,
 )
-from ..sim.cache import EpisodeStore
 from ..sim.seeding import as_seed_sequence
 from ..telemetry import NULL_RECORDER
 from .costs import CostLedger
@@ -65,7 +65,7 @@ from .fleet import (
     _episode_metrics,
     _FleetSlotKernel,
 )
-from .placement import PlacementEngine, PlacementStats, ShardedPlacementEngine
+from .placement import PlacementEngine, PlacementStats, placement_engine
 
 __all__ = ["StackedRunOutcome", "run_stacked", "supports_fast_metrics"]
 
@@ -78,10 +78,6 @@ def supports_fast_metrics(detector: "TrajectoryDetector") -> bool:
     override ``detect_crowd`` and must take the report fallback.
     """
     return type(detector) in (MaximumLikelihoodDetector, RandomGuessDetector)
-
-#: Target element budget of one per-run sampling block in stream mode
-#: (mirrors the streaming engine's bound).
-_BLOCK_TARGET_ELEMS = 1 << 20
 
 #: Engines with a stacked form (the per-service "loop" reference has none).
 STACKED_ENGINES = ("batch", "stream")
@@ -113,17 +109,10 @@ class _StackedPlacement:
         self.n_cells = int(topology.n_cells)
         self.n_services = int(n_services)
         self.run_stack = int(run_stack)
-        if regions > 1:
-            self.engines: list[PlacementEngine] = [
-                ShardedPlacementEngine(
-                    topology, regions=regions, workers=region_workers
-                )
-                for _ in range(self.run_stack)
-            ]
-        else:
-            self.engines = [
-                PlacementEngine(topology) for _ in range(self.run_stack)
-            ]
+        self.engines: list[PlacementEngine] = [
+            placement_engine(topology, regions=regions, workers=region_workers)
+            for _ in range(self.run_stack)
+        ]
         # One hop matrix serves every run (hop_distance_matrix returns a
         # fresh copy per engine otherwise).
         shared_hops = self.engines[0]._hops
@@ -303,15 +292,16 @@ class _StackedFleetView:
     """Duck-typed stand-in the slot kernel sees: an ``S``-times-wider fleet.
 
     The kernel only reads ``config.n_users`` (to size its per-user
-    totals), the cost model, the hop matrix and the vectorised policy
-    decision — all row-independent, so the real simulation's bound
-    methods serve the stacked arrays unchanged.
+    totals), the compiled world schedule, the cost model, the hop matrix
+    and the vectorised policy decision — all row-independent, so the
+    real simulation's bound methods serve the stacked arrays unchanged.
     """
 
     def __init__(self, simulation: FleetSimulation, run_stack: int) -> None:
         self.config = SimpleNamespace(
             n_users=simulation.config.n_users * run_stack
         )
+        self._schedule = simulation._schedule
         self.cost_model = simulation.cost_model
         self._hops = simulation._hops
         self._decide_real_targets = simulation._decide_real_targets
@@ -453,10 +443,9 @@ class StackedRunOutcome:
                     self.service_migrations_st[rows],
                     ledgers,
                     self.placement_stats[run],
-                    None,  # type: ignore[arg-type]  # order is given below
                     self.evaluation_seeds[run],
                     self.svc_windows,
-                    order=self.orders[run],
+                    self.orders[run],
                 )
             )
         return reports
@@ -628,276 +617,90 @@ def run_stacked(
     budgets = config.chaffs_per_user()
     owners, is_real, service_ids = sim._service_layout(budgets)
     n_services = owners.size
-
-    store: EpisodeStore | None = None
-    if stream:
-        store = EpisodeStore(tempfile.mkdtemp(prefix="repro-runstack-"))
-        users_st = store.create_plane("users", (stack_size * n_users, horizon))
-        plans_st = store.create_plane(
-            "plans", (stack_size * n_services, horizon)
-        )
-    else:
-        users_st = np.empty((stack_size * n_users, horizon), dtype=np.int64)
-        plans_st = np.empty((stack_size * n_services, horizon), dtype=np.int64)
+    streams = [sim._episode_streams(seed) for seed in seeds]
+    run_rngs = [user_rngs for user_rngs, _, _ in streams]
 
     # Phase A: sample every run from its own SeedSequence children, in
-    # the canonical order — every user draws only from its own generator
-    # (trajectory randomness first, then that user's chaffs), so any
-    # regrouping of the draws across runs is bit-identical to sampling
-    # the runs one at a time.
-    per_user = np.asarray([1 + budget for budget in budgets], dtype=np.int64)
-    widest = int(per_user.max())
-    shuffle_rngs: list[np.random.Generator] = []
-    evaluation_seeds: list[np.random.SeedSequence] = []
+    # the canonical order — every user draws only from their own
+    # generator (trajectory randomness first, then that user's chaffs),
+    # so any regrouping of the draws across runs is bit-identical to
+    # sampling the runs one at a time.
     sample_token = recorder.begin(
         "kernel/sample", engine=engine, runs=stack_size, users=n_users
     )
     if stream:
-        # Bounded working set: walk the streaming engine's per-run user
-        # blocks and spill them straight into the store's planes.
-        block = max(1, _BLOCK_TARGET_ELEMS // max(horizon * widest, 1))
-        for run, seed in enumerate(seeds):
-            root = as_seed_sequence(seed)
-            children = root.spawn(n_users + 2)
-            user_rngs = [
-                np.random.default_rng(child) for child in children[:n_users]
-            ]
-            shuffle_rngs.append(np.random.default_rng(children[n_users]))
-            evaluation_seeds.append(children[n_users + 1])
-            row = run * n_services
-            for start in range(0, n_users, block):
-                stop = min(start + block, n_users)
-                users_block, plans_block = sim._sample_block(
-                    start, stop, user_rngs[start:stop]
-                )
-                users_st[run * n_users + start : run * n_users + stop] = (
-                    users_block
-                )
-                plans_st[row : row + plans_block.shape[0]] = plans_block
-                row += plans_block.shape[0]
-    else:
-        # Amortised sampling: collect every (run, user)'s raw randomness,
-        # evolve all S*M trajectories in one vectorised shot, and generate
-        # each (strategy, budget) group's chaffs across the whole stack in
-        # one generate_batch call — the per-run evolve/generate overhead of
-        # the per-episode path is paid once per stack instead.
-        all_user_rngs: list[list[np.random.Generator]] = []
-        initial_st = np.empty(stack_size * n_users, dtype=np.int64)
-        uniforms_st = np.empty(
-            (stack_size * n_users, max(horizon - 1, 0)), dtype=float
-        )
-        for run, seed in enumerate(seeds):
-            root = as_seed_sequence(seed)
-            children = root.spawn(n_users + 2)
-            rngs = [np.random.default_rng(child) for child in children[:n_users]]
-            all_user_rngs.append(rngs)
-            shuffle_rngs.append(np.random.default_rng(children[n_users]))
-            evaluation_seeds.append(children[n_users + 1])
-            base = run * n_users
-            for user, rng in enumerate(rngs):
-                initial_st[base + user], uniforms_st[base + user] = (
-                    sim._sample_user(user, rng)
-                )
-        users_st[:] = sim.chain.evolve_from_uniforms(
-            initial_st, uniforms_st, transition_stack=sim._stack
-        )
-        first_row = np.zeros(n_users, dtype=np.int64)
-        if n_users > 1:
-            first_row[1:] = np.cumsum(per_user[:-1])
-        run_base = np.arange(stack_size, dtype=np.int64) * n_services
-        real_rows_st = (run_base[:, None] + first_row[None, :]).ravel()
-        plans_st[real_rows_st] = users_st
-        groups: dict[tuple[int, int], list[int]] = {}
-        for user, budget in enumerate(budgets):
-            if budget > 0:
-                groups.setdefault((id(sim.strategies[user]), budget), []).append(
-                    user
-                )
-        for (_, budget), members in groups.items():
-            strategy = sim.strategies[members[0]]
-            assert strategy is not None  # groups only hold budget > 0 users
-            member_users = np.asarray(members, dtype=np.int64)
-            user_rows = (
-                np.arange(stack_size, dtype=np.int64)[:, None] * n_users
-                + member_users[None, :]
-            ).ravel()
-            member_rngs = [
-                all_user_rngs[run][user]
-                for run in range(stack_size)
-                for user in members
-            ]
-            chaffs = strategy.generate_batch(
-                sim.chain, users_st[user_rows], budget, member_rngs
+        # Bounded working set: each run walks its own user blocks.
+        users_st = np.empty((stack_size * n_users, horizon), dtype=np.int64)
+        plans_st = np.empty((stack_size * n_services, horizon), dtype=np.int64)
+        for run, user_rngs in enumerate(run_rngs):
+            sim._sample_bounded(
+                user_rngs,
+                users_st[run * n_users : (run + 1) * n_users],
+                plans_st[run * n_services : (run + 1) * n_services],
             )
-            targets = (
-                run_base[:, None] + first_row[member_users][None, :]
-            ).ravel() + 1
-            rows_idx = (
-                targets[:, None] + np.arange(budget, dtype=np.int64)[None, :]
-            ).ravel()
-            plans_st[rows_idx] = chaffs.reshape(-1, horizon)
+    else:
+        # Amortised: the whole stack in one block, so the evolve and
+        # generate overhead is paid once per stack instead of per run.
+        users_st, plans_st = sim._sample_block(run_rngs, 0, n_users)
     recorder.end(sample_token)
 
-    owners_st = np.concatenate(
-        [owners + run * n_users for run in range(stack_size)]
+    # Phase B: one chunk loop for the whole stack, writing straight into
+    # the outcome tensors.  A stack of one drives the plain kernel with
+    # its own engine; the stacked placement only pays off from S = 2.
+    engine_regions = regions if stream else 1
+    if stack_size == 1:
+        engines = [
+            placement_engine(
+                sim.topology, regions=engine_regions, workers=region_workers
+            )
+        ]
+        kernel = _FleetSlotKernel(sim, owners, is_real, engines[0])
+    else:
+        stacked = _StackedPlacement(
+            sim,
+            n_services,
+            stack_size,
+            regions=engine_regions,
+            region_workers=region_workers,
+        )
+        engines = stacked.engines
+        kernel = _StackedSlotKernel(
+            _StackedFleetView(sim, stack_size),
+            np.concatenate([owners + run * n_users for run in range(stack_size)]),
+            np.tile(is_real, stack_size),
+            stacked,
+        )
+    histories_st = np.empty((stack_size * n_services, horizon), dtype=np.int64)
+    per_slot_st = (
+        np.empty((stack_size * n_users, horizon), dtype=float)
+        if collect_per_slot
+        else None
     )
-    is_real_st = np.tile(is_real, stack_size)
-
-    stacked = _StackedPlacement(
-        sim,
-        n_services,
-        stack_size,
-        regions=regions if stream else 1,
-        region_workers=region_workers,
-    )
-    kernel = _StackedSlotKernel(
-        _StackedFleetView(sim, stack_size), owners_st, is_real_st, stacked
-    )
-
-    dynamic = sim._schedule is not None
-    svc_windows = sim._schedule.user_windows[owners] if dynamic else None
-
-    # Phase B: the slot loop, once for the whole stack.
+    width = chunk_slots if stream else horizon
     placement_token = recorder.begin(
         "kernel/placement", engine=engine, runs=stack_size, slots=horizon
     )
-    per_slot_st: np.ndarray | None
-    if not stream:
-        per_slot_st = (
-            np.empty((stack_size * n_users, horizon), dtype=float)
-            if collect_per_slot
-            else None
+    for start in range(0, horizon, width):
+        window = slice(start, min(start + width, horizon))
+        kernel.advance(
+            start,
+            users_st[:, window],
+            plans_st[:, window],
+            histories_st[:, window],
+            None if per_slot_st is None else per_slot_st[:, window],
         )
-        if dynamic:
-            caps = sim._schedule.capacities
-            active_u = sim._schedule.active_users()
-            active_u_st = np.tile(active_u, (stack_size, 1))
-            active_svc_st = np.tile(active_u[owners], (stack_size, 1))
-            histories_st = np.full(
-                (stack_size * n_services, horizon), -1, dtype=np.int64
-            )
-            kernel.begin_dynamic(plans_st[:, 0], active_svc_st[:, 0], caps[0])
-            for slot in range(horizon):
-                live_rows = kernel.step_dynamic(
-                    users_st[:, slot],
-                    plans_st[:, slot],
-                    active_svc_st[:, slot],
-                    caps[slot],
-                    active_u_st[:, slot],
-                )
-                histories_st[live_rows, slot] = kernel.cells[live_rows]
-                if per_slot_st is not None:
-                    per_slot_st[:, slot] = kernel.slot_cost_totals()
-        else:
-            histories_st = np.empty(
-                (stack_size * n_services, horizon), dtype=np.int64
-            )
-            kernel.begin_static(plans_st[:, 0])
-            for slot in range(horizon):
-                kernel.step_static(users_st[:, slot], plans_st[:, slot])
-                histories_st[:, slot] = kernel.cells
-                if per_slot_st is not None:
-                    per_slot_st[:, slot] = kernel.slot_cost_totals()
-        users_final = users_st
-    else:
-        assert store is not None
-        n_chunks = -(-horizon // chunk_slots)
-        for chunk in range(n_chunks):
-            start = chunk * chunk_slots
-            stop = min(start + chunk_slots, horizon)
-            width = stop - start
-            user_cols = np.asarray(users_st[:, start:stop])
-            plan_cols = np.asarray(plans_st[:, start:stop])
-            per_slot_chunk = (
-                np.empty((stack_size * n_users, width), dtype=float)
-                if collect_per_slot
-                else None
-            )
-            if dynamic:
-                window = sim.timeline.compile_window(
-                    start,
-                    stop,
-                    horizon=horizon,
-                    n_cells=sim.topology.n_cells,
-                    n_users=n_users,
-                    base_capacities=sim.topology.base_capacities(),
-                    base_chain=sim.chain,
-                )
-                caps_w = window.capacities
-                active_u_w = window.active_users()
-                active_u_wst = np.tile(active_u_w, (stack_size, 1))
-                active_svc_wst = np.tile(active_u_w[owners], (stack_size, 1))
-                hist_chunk = np.full(
-                    (stack_size * n_services, width), -1, dtype=np.int64
-                )
-                if start == 0:
-                    kernel.begin_dynamic(
-                        plan_cols[:, 0], active_svc_wst[:, 0], caps_w[0]
-                    )
-                for local in range(width):
-                    live_rows = kernel.step_dynamic(
-                        user_cols[:, local],
-                        plan_cols[:, local],
-                        active_svc_wst[:, local],
-                        caps_w[local],
-                        active_u_wst[:, local],
-                    )
-                    hist_chunk[live_rows, local] = kernel.cells[live_rows]
-                    if per_slot_chunk is not None:
-                        per_slot_chunk[:, local] = kernel.slot_cost_totals()
-            else:
-                hist_chunk = np.empty(
-                    (stack_size * n_services, width), dtype=np.int64
-                )
-                if start == 0:
-                    kernel.begin_static(plan_cols[:, 0])
-                for local in range(width):
-                    kernel.step_static(user_cols[:, local], plan_cols[:, local])
-                    hist_chunk[:, local] = kernel.cells
-                    if per_slot_chunk is not None:
-                        per_slot_chunk[:, local] = kernel.slot_cost_totals()
-            with recorder.span("kernel/spill", chunk=chunk):
-                store.append_chunk("histories", chunk, hist_chunk)
-                if per_slot_chunk is not None:
-                    store.append_chunk("per_slot", chunk, per_slot_chunk)
-        # Fold the spilled chunk shards back into the outcome tensors and
-        # drop the ephemeral store.
-        fill = -1 if dynamic else 0
-        histories_st = np.full(
-            (stack_size * n_services, horizon), fill, dtype=np.int64
-        )
-        for index, shard in store.iter_chunks("histories"):
-            start = index * chunk_slots
-            histories_st[:, start : start + shard.shape[1]] = shard
-        if collect_per_slot:
-            per_slot_st = np.empty((stack_size * n_users, horizon), dtype=float)
-            for index, shard in store.iter_chunks("per_slot"):
-                start = index * chunk_slots
-                per_slot_st[:, start : start + shard.shape[1]] = shard
-        else:
-            per_slot_st = None
-        users_final = np.array(users_st, dtype=np.int64)
-        del users_st, plans_st
-        store.destroy()
     recorder.end(placement_token)
-    for engine_ in stacked.engines:
+    for engine_ in engines:
         recorder.record_stats("placement", engine_.stats.as_dict())
 
     # Phase C: each run's presentation permutation — the same single
-    # draw from the same shuffle child as the per-episode path.
-    orders = []
-    for rng in shuffle_rngs:
-        if config.shuffle_observations:
-            orders.append(rng.permutation(n_services))
-        else:
-            orders.append(np.arange(n_services))
-
+    # draw from the same shuffle child as every other engine.
     return StackedRunOutcome(
         sim,
         owners=owners,
         is_real=is_real,
         service_ids=service_ids,
-        users_st=users_final,
+        users_st=users_st,
         histories_st=histories_st,
         per_slot_st=per_slot_st,
         mig_total=kernel.mig_total,
@@ -905,8 +708,15 @@ def run_stacked(
         chaff_total=kernel.chaff_total,
         migrations=kernel.migrations,
         service_migrations_st=kernel.service_migrations,
-        placement_stats=[engine_.stats for engine_ in stacked.engines],
-        orders=orders,
-        evaluation_seeds=evaluation_seeds,
-        svc_windows=svc_windows,
+        placement_stats=[engine_.stats for engine_ in engines],
+        orders=[
+            sim._presentation_order(shuffle_rng, n_services)
+            for _, shuffle_rng, _ in streams
+        ],
+        evaluation_seeds=[evaluation_seed for _, _, evaluation_seed in streams],
+        svc_windows=(
+            None
+            if sim._schedule is None
+            else sim._schedule.user_windows[owners]
+        ),
     )

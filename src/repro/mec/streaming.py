@@ -1,28 +1,27 @@
-"""Streaming fleet engine: bounded-memory horizon chunks.
+"""Streaming fleet engine: bounded-memory, resumable horizon chunks.
 
-:class:`~repro.mec.fleet.FleetSimulation`'s batch engine materialises the
-full ``(N, T)`` observation plane (and per-user ``(M, T)`` cost curves)
-before anything is scored, which caps the reproduction at M≈10² users.
-The paper's privacy guarantees are population effects — detection falls
-like ~1/N as chaffs and crowd blend — so the interesting regime is
-exactly the one the monolithic engine cannot reach.  This module runs
-the *same* simulation as a streaming pipeline:
+The in-memory fleet driver (:func:`repro.mec.runstack.run_stacked`)
+holds the full ``(N, T)`` observation plane (and per-user ``(M, T)`` cost
+curves) before anything is scored, which caps it at M≈10² users.  The
+paper's privacy guarantees are population effects — detection falls like
+~1/N as chaffs and crowd blend — so the interesting regime is exactly
+the one a full plane cannot reach.  :class:`StreamingFleetEngine` runs
+the *same* simulation as a disk-backed pipeline:
 
 * **Sampling** walks the fleet in bounded user blocks through the shared
-  :meth:`~repro.mec.fleet.FleetSimulation._sample_block` sampler and
-  spills trajectories and chaff plans into disk-backed memmap planes of
-  an :class:`~repro.sim.cache.EpisodeStore` (every user draws only from
-  their own generator, so block sampling is bit-identical to whole-fleet
-  sampling).
+  :meth:`~repro.mec.fleet.FleetSimulation._sample_bounded` sampler into
+  disk-backed memmap planes of an :class:`~repro.sim.cache.EpisodeStore`
+  (every user draws only from their own generator, so block sampling is
+  bit-identical to whole-fleet sampling).
 * **The slot loop** advances the horizon in fixed-size chunks of
-  ``chunk_slots`` slots, driving the same
-  :class:`~repro.mec.fleet._FleetSlotKernel` the batch engine drives —
-  bit-identity by construction — while holding only ``(N, chunk)``
-  planes; completed chunk planes and carry-over state snapshots are
-  committed to the store, so an interrupted episode resumes from its
-  last complete chunk.  Dynamic worlds compile their schedule lazily per
-  chunk (:meth:`~repro.world.timeline.Timeline.compile_window`), never
-  materialising the ``(M, T)`` activity mask.
+  ``chunk_slots`` slots through
+  :meth:`~repro.mec.fleet._FleetSlotKernel.advance`, the slot loop the
+  in-memory driver runs too — bit-identity by construction — while
+  holding only ``(N, chunk)`` planes.  Completed chunk planes and
+  carry-over state snapshots are committed to the store, so an
+  interrupted episode resumes from its last complete chunk.  Dynamic
+  worlds read each chunk as slices of the schedule the simulation
+  compiled once.
 * **Placement** optionally shards by topology region
   (:class:`~repro.mec.placement.ShardedPlacementEngine`): independent
   regions settle concurrently, cross-region spills fall back to the
@@ -38,6 +37,8 @@ accumulated per chunk (equal to within float summation order).
 
 from __future__ import annotations
 
+import hashlib
+import json
 import tempfile
 from typing import Iterator
 
@@ -61,17 +62,46 @@ from .fleet import (
     _FleetSlotKernel,
     materialise_full_plane,
 )
-from .placement import PlacementEngine, PlacementStats, ShardedPlacementEngine
+from .placement import PlacementStats, placement_engine
 
 __all__ = ["StreamingFleetEngine", "StreamingFleetReport", "DEFAULT_CHUNK_SLOTS"]
 
 #: Default number of slots advanced per chunk.
 DEFAULT_CHUNK_SLOTS = 64
 
-#: Target element budget of one sampling block (users x horizon x
-#: services-per-user); blocks shrink as the horizon grows, keeping the
-#: sampler's heap roughly constant in ``T``.
-_BLOCK_TARGET_ELEMS = 1 << 20
+
+def _simulation_fingerprint(simulation: FleetSimulation) -> str:
+    """Digest of everything besides the seed that shapes an episode.
+
+    Part of an episode store's identity, so a store can only be resumed
+    by the simulation that wrote it.
+    """
+    # Deferred import: the adversary package imports the fleet modules.
+    from ..adversary.score_cache import chain_digest
+
+    config = simulation.config
+    timeline = simulation.timeline
+    payload = {
+        "chain": chain_digest(simulation.chain),
+        "budgets": list(config.chaffs_per_user()),
+        "start_cells": (
+            None
+            if config.start_cells is None
+            else [int(cell) for cell in config.start_cells]
+        ),
+        "strategies": [
+            None if strategy is None else strategy.name
+            for strategy in simulation.strategies
+        ],
+        "policy": repr(simulation.policy),
+        "cost_model": repr(simulation.cost_model),
+        "capacities": simulation.topology.base_capacities().tolist(),
+        "events": [repr(event) for event in timeline.events],
+        "regime_chains": [chain_digest(chain) for chain in timeline.regime_chains],
+        "shuffle_observations": config.shuffle_observations,
+    }
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class StreamingFleetReport:
@@ -184,10 +214,7 @@ class StreamingFleetReport:
         sim = self.simulation
         n_users, n_services = self.n_users, self.n_services
         horizon = self.horizon
-        fill = None if self.svc_windows is None else -1
-        histories = materialise_full_plane(
-            (n_services, horizon), dtype=np.int64, fill=fill
-        )
+        histories = materialise_full_plane((n_services, horizon), dtype=np.int64)
         for index, chunk in self.store.iter_chunks("histories"):
             start = index * self.chunk_slots
             histories[:, start : start + chunk.shape[1]] = chunk
@@ -217,10 +244,9 @@ class StreamingFleetReport:
             self.service_migrations,
             ledgers,
             self.placement,
-            None,  # shuffle_rng unused: the permutation was drawn at run end
             self.evaluation_seed,
             self.svc_windows,
-            order=self.order,
+            self.order,
         )
 
     # ------------------------------------------------------------------
@@ -435,42 +461,21 @@ class StreamingFleetEngine:
         self.recorder = recorder
 
     # ------------------------------------------------------------------
-    def _placement(self) -> PlacementEngine:
-        if self.regions > 1:
-            return ShardedPlacementEngine(
-                self.simulation.topology,
-                regions=self.regions,
-                workers=self.region_workers,
-            )
-        return PlacementEngine(self.simulation.topology)
-
     def _sample(
         self,
         store: EpisodeStore,
         user_rngs: "list[np.random.Generator]",
     ) -> None:
         """Phase A: spill trajectories and plans in bounded user blocks."""
-        sim = self.simulation
-        config = sim.config
-        n_users, horizon = config.n_users, config.horizon
-        budgets = config.chaffs_per_user()
-        per_user = np.asarray([1 + budget for budget in budgets], dtype=np.int64)
-        users_plane = store.create_plane("users", (n_users, horizon))
+        config = self.simulation.config
+        users_plane = store.create_plane("users", (config.n_users, config.horizon))
         plans_plane = store.create_plane(
-            "plans", (int(per_user.sum()), horizon)
+            "plans", (config.n_services, config.horizon)
         )
-        widest = int(per_user.max())
-        block = max(1, _BLOCK_TARGET_ELEMS // max(horizon * widest, 1))
-        row = 0
-        with self.recorder.span("kernel/sample", engine="stream", users=n_users):
-            for start in range(0, n_users, block):
-                stop = min(start + block, n_users)
-                users_block, plans_block = sim._sample_block(
-                    start, stop, user_rngs[start:stop]
-                )
-                users_plane[start:stop] = users_block
-                plans_plane[row : row + plans_block.shape[0]] = plans_block
-                row += plans_block.shape[0]
+        with self.recorder.span(
+            "kernel/sample", engine="stream", users=config.n_users
+        ):
+            self.simulation._sample_bounded(user_rngs, users_plane, plans_plane)
             users_plane.flush()
             plans_plane.flush()
         del users_plane, plans_plane
@@ -539,12 +544,8 @@ class StreamingFleetEngine:
         sim = self.simulation
         config = sim.config
         n_users, horizon = config.n_users, config.horizon
-        budgets = config.chaffs_per_user()
         root = as_seed_sequence(seed)
-        children = root.spawn(n_users + 2)
-        user_rngs = [np.random.default_rng(child) for child in children[:n_users]]
-        shuffle_rng = np.random.default_rng(children[n_users])
-        evaluation_seed = children[n_users + 1]
+        user_rngs, shuffle_rng, evaluation_seed = sim._episode_streams(root)
 
         owns_store = self._store is None
         store = self._store or EpisodeStore(
@@ -556,6 +557,7 @@ class StreamingFleetEngine:
             "n_users": n_users,
             "horizon": horizon,
             "chunk_slots": self.chunk_slots,
+            "simulation": _simulation_fingerprint(sim),
         }
         meta = store.meta
         for key, value in identity.items():
@@ -566,16 +568,22 @@ class StreamingFleetEngine:
                 )
         store.update_meta(**identity)
 
-        owners, is_real, service_ids = sim._service_layout(budgets)
+        owners, is_real, service_ids = sim._service_layout(config.chaffs_per_user())
         n_services = owners.size
         if not store.meta.get("sampled"):
             self._sample(store, user_rngs)
 
-        dynamic = sim._schedule is not None
         svc_windows = (
-            sim._schedule.user_windows[owners] if dynamic else None
+            None if sim._schedule is None else sim._schedule.user_windows[owners]
         )
-        kernel = _FleetSlotKernel(sim, owners, is_real, self._placement())
+        kernel = _FleetSlotKernel(
+            sim,
+            owners,
+            is_real,
+            placement_engine(
+                sim.topology, regions=self.regions, workers=self.region_workers
+            ),
+        )
         n_chunks = -(-horizon // self.chunk_slots)
         committed = set(store.completed("histories"))
         resume_from = 0
@@ -594,46 +602,15 @@ class StreamingFleetEngine:
         for chunk in range(resume_from, n_chunks):
             start = chunk * self.chunk_slots
             stop = min(start + self.chunk_slots, horizon)
-            width = stop - start
-            user_cols = np.asarray(users_plane[:, start:stop])
-            plan_cols = np.asarray(plans_plane[:, start:stop])
-            per_slot_chunk = np.empty((n_users, width), dtype=float)
-            if dynamic:
-                window = sim.timeline.compile_window(
-                    start,
-                    stop,
-                    horizon=horizon,
-                    n_cells=sim.topology.n_cells,
-                    n_users=n_users,
-                    base_capacities=sim.topology.base_capacities(),
-                    base_chain=sim.chain,
-                )
-                caps_w = window.capacities
-                active_u_w = window.active_users()
-                active_svc_w = active_u_w[owners]
-                hist_chunk = np.full((n_services, width), -1, dtype=np.int64)
-                if start == 0:
-                    kernel.begin_dynamic(
-                        plan_cols[:, 0], active_svc_w[:, 0], caps_w[0]
-                    )
-                for local in range(width):
-                    live_rows = kernel.step_dynamic(
-                        user_cols[:, local],
-                        plan_cols[:, local],
-                        active_svc_w[:, local],
-                        caps_w[local],
-                        active_u_w[:, local],
-                    )
-                    hist_chunk[live_rows, local] = kernel.cells[live_rows]
-                    per_slot_chunk[:, local] = kernel.slot_cost_totals()
-            else:
-                hist_chunk = np.empty((n_services, width), dtype=np.int64)
-                if start == 0:
-                    kernel.begin_static(plan_cols[:, 0])
-                for local in range(width):
-                    kernel.step_static(user_cols[:, local], plan_cols[:, local])
-                    hist_chunk[:, local] = kernel.cells
-                    per_slot_chunk[:, local] = kernel.slot_cost_totals()
+            hist_chunk = np.empty((n_services, stop - start), dtype=np.int64)
+            per_slot_chunk = np.empty((n_users, stop - start), dtype=float)
+            kernel.advance(
+                start,
+                np.asarray(users_plane[:, start:stop]),
+                np.asarray(plans_plane[:, start:stop]),
+                hist_chunk,
+                per_slot_chunk,
+            )
             with recorder.span("kernel/spill", chunk=chunk):
                 store.append_chunk("histories", chunk, hist_chunk)
                 store.append_chunk("per_slot", chunk, per_slot_chunk)
@@ -654,9 +631,6 @@ class StreamingFleetEngine:
             # Fully resumed episode: the totals live in the last carry.
             self._restore_kernel(kernel, store.load_state(n_chunks - 1))
         recorder.record_stats("placement", kernel.placement.stats.as_dict())
-        order = np.arange(n_services)
-        if config.shuffle_observations:
-            order = shuffle_rng.permutation(n_services)
         return StreamingFleetReport(
             sim,
             store,
@@ -665,7 +639,7 @@ class StreamingFleetEngine:
             owners=owners,
             is_real=is_real,
             service_ids=service_ids,
-            order=order,
+            order=sim._presentation_order(shuffle_rng, n_services),
             mig_total=kernel.mig_total,
             comm_total=kernel.comm_total,
             chaff_total=kernel.chaff_total,
@@ -676,12 +650,3 @@ class StreamingFleetEngine:
             svc_windows=svc_windows,
             recorder=recorder,
         )
-
-    def run_to_report(self, seed: "int | np.random.SeedSequence") -> FleetReport:
-        """Stream the episode and materialise an ordinary full report."""
-        streamed = self.run(seed)
-        assert streamed is not None  # no stop_after_chunks: always completes
-        try:
-            return streamed.materialise()
-        finally:
-            streamed.close()

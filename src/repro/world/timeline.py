@@ -42,65 +42,7 @@ from .events import (
     WorldEvent,
 )
 
-__all__ = ["Timeline", "WorldSchedule", "ScheduleWindow"]
-
-
-@dataclass(frozen=True)
-class ScheduleWindow:
-    """One chunk ``[start, stop)`` of a compiled world schedule.
-
-    The streaming fleet engine consumes the world chunk by chunk; a
-    window carries exactly the per-slot views of its own slots plus the
-    one-slot lookback context the chunk-boundary transitions need
-    (``prev_capacities`` — ``None`` when the window starts at slot 0).
-    ``user_windows`` stays absolute (``[arrival, departure)`` in global
-    slots) because churn spans chunk boundaries.
-    """
-
-    start: int
-    stop: int
-    regimes: np.ndarray
-    capacities: np.ndarray
-    user_windows: np.ndarray
-    base_capacities: np.ndarray
-    matrices: tuple[np.ndarray, ...] = field(repr=False)
-    prev_capacities: np.ndarray | None = None
-    #: Whether *any* slot of the whole episode runs a non-base regime.
-    #: The window must mirror the full schedule's use-the-stack decision
-    #: even on all-base windows, so chunked runs stay bit-identical to
-    #: the monolithic path (which builds one stack for the episode).
-    episode_has_regimes: bool = False
-
-    @property
-    def n_slots(self) -> int:
-        """Number of slots in the window."""
-        return self.stop - self.start
-
-    def active_users(self) -> np.ndarray:
-        """The ``(M, n_slots)`` activity mask restricted to the window."""
-        slots = np.arange(self.start, self.stop)
-        return (self.user_windows[:, :1] <= slots) & (
-            slots < self.user_windows[:, 1:]
-        )
-
-    def transition_stack(self) -> np.ndarray | None:
-        """Per-step matrices of the transitions *into* the window's slots.
-
-        Entry ``k`` governs the transition into slot
-        ``max(start, 1) + k`` (slot 0 has no incoming transition), i.e.
-        the window's slice of :meth:`WorldSchedule.transition_stack` —
-        only ever ``O(n_slots)`` matrices, never the full horizon.
-        Returns ``None`` when the episode never leaves the base regime
-        (matching the full schedule's decision, even for windows whose
-        own slots are all base-regime).
-        """
-        first = max(self.start, 1)
-        if not self.episode_has_regimes or first >= self.stop:
-            return None
-        covered = self.regimes[first - self.start :]
-        return np.stack(
-            [self.matrices[int(regime)] for regime in covered], axis=0
-        )
+__all__ = ["Timeline", "WorldSchedule"]
 
 
 @dataclass(frozen=True)
@@ -194,37 +136,6 @@ class WorldSchedule:
             slots < self.user_windows[:, 1:]
         )
 
-    def window(self, start: int, stop: int) -> ScheduleWindow:
-        """The ``[start, stop)`` chunk of this schedule as a window view.
-
-        Slices of the dense arrays (no copies beyond the lookback row);
-        equivalent to :meth:`Timeline.compile_window` on the source
-        timeline, which never materialises the dense arrays at all.
-        """
-        if not 0 <= start < stop <= self.horizon:
-            raise ValueError(
-                f"window [{start}, {stop}) outside the horizon {self.horizon}"
-            )
-        return ScheduleWindow(
-            start=start,
-            stop=stop,
-            regimes=self.regimes[start:stop],
-            capacities=self.capacities[start:stop],
-            user_windows=self.user_windows,
-            base_capacities=self.base_capacities,
-            matrices=self.matrices,
-            prev_capacities=None if start == 0 else self.capacities[start - 1],
-            episode_has_regimes=self.has_regime_switches,
-        )
-
-    def transition_stack_window(self, start: int, stop: int) -> np.ndarray | None:
-        """The window slice of :meth:`transition_stack`, built lazily.
-
-        Only the ``O(stop - start)`` matrices covering the transitions
-        into slots ``max(start, 1) .. stop - 1`` are stacked; ``None``
-        without regime switches (the static sampling path)."""
-        return self.window(start, stop).transition_stack()
-
 
 @dataclass(frozen=True)
 class Timeline:
@@ -284,43 +195,39 @@ class Timeline:
                 )
         return base
 
-    def _replay(
+    def compile(
         self,
-        start: int,
-        stop: int,
+        *,
         horizon: int,
         n_cells: int,
         n_users: int,
-        base: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-        """Replay events through slot ``stop - 1``, materialising only
-        ``[start, stop)``.
+        base_capacities: np.ndarray,
+        base_chain: MarkovChain,
+    ) -> WorldSchedule:
+        """Materialise the timeline against one episode shape.
 
-        Returns ``(regimes, capacities, user_windows, prev_capacities)``
-        where the first two cover the window, ``user_windows`` is the
-        full absolute ``(M, 2)`` array (churn is global information) and
-        ``prev_capacities`` is the slot ``start - 1`` view (``None`` at
-        ``start == 0``).  Slots before the window replay their events
-        into the carried ``declared`` / ``down`` state without
-        allocating their per-slot views, which is what makes chunked
-        compilation O(window), not O(horizon).
+        Events replay in ``(slot, position)`` order into the carried
+        ``declared`` / ``down`` site state, read out once per slot.
+        Events at slots ``>= horizon`` are ignored (open-ended generators
+        emit them freely), except that a user whose *arrival* lies beyond
+        the horizon would never be active — that is an error.
         """
+        base = self._validate_shape(
+            horizon, n_cells, n_users, base_capacities, base_chain
+        )
         ordered = sorted(
             enumerate(self.events), key=lambda pair: (pair[1].slot, pair[0])
         )
-
-        width = stop - start
-        regimes = np.zeros(width, dtype=np.int64)
+        regimes = np.zeros(horizon, dtype=np.int64)
         declared = base.copy()
         down = np.zeros(n_cells, dtype=bool)
-        capacities = np.empty((width, n_cells), dtype=np.int64)
-        prev_capacities: np.ndarray | None = None
+        capacities = np.empty((horizon, n_cells), dtype=np.int64)
         arrivals = np.full(n_users, -1, dtype=np.int64)
         departures = np.full(n_users, -1, dtype=np.int64)
         current_regime = 0
 
         pointer = 0
-        for slot in range(stop):
+        for slot in range(horizon):
             while pointer < len(ordered) and ordered[pointer][1].slot == slot:
                 event = ordered[pointer][1]
                 pointer += 1
@@ -359,30 +266,8 @@ class Timeline:
                     record[event.user] = slot
                 else:  # pragma: no cover - sealed hierarchy
                     raise TypeError(f"unhandled event type: {type(event)!r}")
-            if slot >= start:
-                regimes[slot - start] = current_regime
-                capacities[slot - start] = np.where(down, 0, declared)
-            elif slot == start - 1:
-                prev_capacities = np.where(down, 0, declared)
-
-        # Churn is global information: a window must know about arrivals
-        # and departures *after* itself too, so the in-horizon tail of
-        # the event list is still scanned (events at or past the horizon
-        # stay ignored, exactly as in a full compile).
-        for _, event in ordered[pointer:]:
-            if event.slot >= horizon:
-                break
-            if isinstance(event, (UserArrival, UserDeparture)):
-                if event.user >= n_users:
-                    raise ValueError(f"event user {event.user} outside the fleet")
-                record = arrivals if isinstance(event, UserArrival) else departures
-                if record[event.user] >= 0:
-                    raise ValueError(
-                        f"user {event.user} has more than one "
-                        f"{'arrival' if record is arrivals else 'departure'}; "
-                        "windows must be contiguous"
-                    )
-                record[event.user] = event.slot
+            regimes[slot] = current_regime
+            capacities[slot] = np.where(down, 0, declared)
 
         for event in self.events:
             if isinstance(event, UserArrival) and event.slot >= horizon:
@@ -400,29 +285,6 @@ class Timeline:
                 f"user {int(bad[0])} has an empty activity window "
                 f"[{int(windows[bad[0], 0])}, {int(windows[bad[0], 1])})"
             )
-        return regimes, capacities, windows, prev_capacities
-
-    def compile(
-        self,
-        *,
-        horizon: int,
-        n_cells: int,
-        n_users: int,
-        base_capacities: np.ndarray,
-        base_chain: MarkovChain,
-    ) -> WorldSchedule:
-        """Materialise the timeline against one episode shape.
-
-        Events at slots ``>= horizon`` are ignored (open-ended generators
-        emit them freely), except that a user whose *arrival* lies beyond
-        the horizon would never be active — that is an error.
-        """
-        base = self._validate_shape(
-            horizon, n_cells, n_users, base_capacities, base_chain
-        )
-        regimes, capacities, windows, _ = self._replay(
-            0, horizon, horizon, n_cells, n_users, base
-        )
         matrices = (
             base_chain.dense_transition(),
             *(chain.dense_transition() for chain in self.regime_chains),
@@ -433,55 +295,4 @@ class Timeline:
             user_windows=windows,
             base_capacities=base,
             matrices=matrices,
-        )
-
-    def compile_window(
-        self,
-        start: int,
-        stop: int,
-        *,
-        horizon: int,
-        n_cells: int,
-        n_users: int,
-        base_capacities: np.ndarray,
-        base_chain: MarkovChain,
-    ) -> ScheduleWindow:
-        """Compile only the ``[start, stop)`` chunk of the schedule.
-
-        Equivalent to ``compile(...).window(start, stop)`` slot for slot,
-        but the dense per-slot views are materialised for the window
-        alone — earlier slots replay their events into O(L) carried
-        state.  This is what lets the streaming fleet engine walk a
-        large-``T`` dynamic world without an O(T·L) schedule in memory.
-        """
-        base = self._validate_shape(
-            horizon, n_cells, n_users, base_capacities, base_chain
-        )
-        if not 0 <= start < stop <= horizon:
-            raise ValueError(
-                f"window [{start}, {stop}) outside the horizon {horizon}"
-            )
-        regimes, capacities, windows, prev_capacities = self._replay(
-            start, stop, horizon, n_cells, n_users, base
-        )
-        matrices = (
-            base_chain.dense_transition(),
-            *(chain.dense_transition() for chain in self.regime_chains),
-        )
-        episode_has_regimes = any(
-            isinstance(event, RegimeSwitch)
-            and event.regime != 0
-            and event.slot < horizon
-            for event in self.events
-        )
-        return ScheduleWindow(
-            start=start,
-            stop=stop,
-            regimes=regimes,
-            capacities=capacities,
-            user_windows=windows,
-            base_capacities=base,
-            matrices=matrices,
-            prev_capacities=prev_capacities,
-            episode_has_regimes=episode_has_regimes,
         )

@@ -171,7 +171,12 @@ def assert_reports_identical(expected, got) -> None:
 class TestStackedMonteCarloIdentity:
     @pytest.fixture(scope="class")
     def reference(self, chain9, regime9, grid9):
-        """Per-episode statistics, one per timeline flavour."""
+        """Per-service loop-reference statistics, one per timeline flavour.
+
+        The oracle is the independent ``loop`` engine: batch and stream
+        runs are themselves stacks of one, so a batch reference would
+        compare the stacked driver against itself.
+        """
 
         def build(dynamic: bool):
             timeline = _edge_timeline(regime9) if dynamic else None
@@ -181,7 +186,7 @@ class TestStackedMonteCarloIdentity:
                 seed=2017,
                 detector=MaximumLikelihoodDetector(),
                 workers=1,
-                run_stack=1,
+                engine="loop",
             )
 
         return {False: build(False), True: build(True)}
@@ -252,6 +257,36 @@ class TestStackedMonteCarloIdentity:
             )
 
 
+class TestExecutionOptionValidation:
+    """Bad execution options fail in the parent, before any pool starts."""
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("parallel_map must not be reached")
+
+        monkeypatch.setattr("repro.mec.fleet.parallel_map", refuse)
+        monkeypatch.setattr("repro.adversary.monte_carlo.parallel_map", refuse)
+
+    @pytest.mark.parametrize(
+        "options, match",
+        [
+            ({"engine": "bogus"}, "engine"),
+            ({"engine": "batch", "chunk_slots": 0}, "chunk_slots"),
+            ({"engine": "batch", "regions": -3}, "regions"),
+            ({"engine": "stream", "run_stack": 0}, "run_stack"),
+        ],
+    )
+    def test_rejected_before_the_pool(
+        self, chain9, grid9, no_pool, options, match
+    ):
+        sim = _make_sim(chain9, grid9)
+        with pytest.raises(ValueError, match=match):
+            run_fleet_monte_carlo(sim, n_runs=4, seed=1, workers=2, **options)
+        with pytest.raises(ValueError, match=match):
+            simulate_fleet_reports(sim, n_runs=4, seed=1, workers=2, **options)
+
+
 # ----------------------------------------------------------------------
 # Stacked outcome: reports and the fast metrics path
 # ----------------------------------------------------------------------
@@ -271,7 +306,7 @@ class TestStackedRunOutcome:
         assert outcome.run_stack == 3
         reports = outcome.to_reports()
         for seed, report in zip(seeds, reports, strict=True):
-            expected = _make_sim(chain9, grid9, timeline).run(seed)
+            expected = _make_sim(chain9, grid9, timeline).run(seed, engine="loop")
             assert_reports_identical(expected, report)
             evaluation = expected.evaluate(chain9, MaximumLikelihoodDetector())
             got = report.evaluate(chain9, MaximumLikelihoodDetector())

@@ -7,9 +7,9 @@ count, the streaming engine reproduces the batch engine's report
 bit-for-bit — planes, ledgers, placement stats and evaluations — for
 static worlds and for dynamic timelines whose events land exactly on
 chunk edges.  Around that sit the subsystem suites: the episode store's
-append/iterate/resume surface, sharded placement equivalence, lazy
-schedule windows, incremental detector scoring, the result cache's
-orphan sweep, and the CLI knobs.
+append/iterate/resume surface, sharded placement equivalence,
+incremental detector scoring, the result cache's orphan sweep, and the
+CLI knobs.
 
 The worker count for sharded tests comes from ``REPRO_TEST_WORKERS``
 (default 2) so CI can pin the threaded path.
@@ -367,11 +367,21 @@ class TestResumableEpisodes:
         assert np.array_equal(first.order, again.order)
         assert first.placement.as_dict() == again.placement.as_dict()
 
-    def test_store_rejects_a_different_episode(self, chain9, grid9, tmp_path):
+    def test_store_rejects_a_different_episode(
+        self, chain9, regime9, grid9, tmp_path
+    ):
         store = EpisodeStore(tmp_path / "episode")
         StreamingFleetEngine(
             _make_sim(chain9, grid9), chunk_slots=7, store=store
         ).run(3, stop_after_chunks=1)
+        # Same seed and shape, different mobility chain: a resume would
+        # splice the other chain's trajectories into this episode.
+        with pytest.raises(ValueError, match="different episode"):
+            StreamingFleetEngine(
+                _make_sim(regime9, grid9),
+                chunk_slots=7,
+                store=EpisodeStore(tmp_path / "episode"),
+            ).run(3)
         with pytest.raises(ValueError, match="different episode"):
             StreamingFleetEngine(
                 _make_sim(chain9, grid9),
@@ -502,37 +512,6 @@ class TestShardedPlacement:
         assert np.array_equal(
             moved, reference.resolve_moves(ref_cells, np.array([4, 4, 4, 4, 0]))
         )
-
-
-# ----------------------------------------------------------------------
-# Lazy schedule windows
-# ----------------------------------------------------------------------
-
-
-class TestScheduleWindows:
-    def test_compile_window_matches_full_compile(self, chain9, regime9, grid9):
-        timeline = _edge_timeline(regime9)
-        kwargs = dict(
-            horizon=HORIZON,
-            n_cells=9,
-            n_users=6,
-            base_capacities=grid9.base_capacities(),
-            base_chain=chain9,
-        )
-        schedule = timeline.compile(**kwargs)
-        for start, stop in [(0, 7), (7, 14), (14, 21), (21, 28), (28, 30)]:
-            lazy = timeline.compile_window(start, stop, **kwargs)
-            full = schedule.window(start, stop)
-            assert np.array_equal(lazy.capacities, full.capacities)
-            assert np.array_equal(lazy.regimes, full.regimes)
-            assert np.array_equal(lazy.user_windows, full.user_windows)
-            assert np.array_equal(lazy.active_users(), full.active_users())
-            assert lazy.episode_has_regimes and full.episode_has_regimes
-            lazy_stack, full_stack = lazy.transition_stack(), full.transition_stack()
-            if full_stack is None:
-                assert lazy_stack is None
-            else:
-                assert np.array_equal(lazy_stack, full_stack)
 
 
 # ----------------------------------------------------------------------

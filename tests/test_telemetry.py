@@ -27,6 +27,7 @@ from repro.mec.fleet import (
     FleetSimulationConfig,
     run_fleet_monte_carlo,
 )
+from repro.mec.streaming import StreamingFleetEngine
 from repro.mec.topology import MECTopology
 from repro.mobility.grid import GridTopology
 from repro.mobility.models import paper_synthetic_models
@@ -322,15 +323,13 @@ class TestBitIdentity:
 
     def test_streaming_records_spill_spans(self, chain9):
         recorder = Recorder(clock=default_clock)
-        run_fleet_monte_carlo(
-            _simulation(chain9),
-            n_runs=1,
-            seed=5,
-            detector=MaximumLikelihoodDetector(),
-            engine="stream",
-            chunk_slots=10,
-            recorder=recorder,
-        )
+        streamed = StreamingFleetEngine(
+            _simulation(chain9), chunk_slots=10, recorder=recorder
+        ).run(5)
+        try:
+            streamed.evaluate(chain9, MaximumLikelihoodDetector())
+        finally:
+            streamed.close()
         names = {span["name"] for span in recorder.spans}
         assert "kernel/spill" in names
         assert "kernel/detect" in names
