@@ -11,19 +11,20 @@ single-user game, both fleet engines and the Monte-Carlo harness —
 through the existing ``detect`` / ``detect_batch`` / ``detect_crowd``
 interfaces.
 
-Scoring.  A fully visible observation set is scored exactly like the ML
-detector of Eq. (1) (same log-likelihoods, same tolerance, same
-tie-break draw), which is what makes the ``oracle`` + full-coverage
-adversary bit-identical to today's fleet path.  A censored set (coverage
-gaps, churned services) is scored with the windowed per-observed-slot
-machinery: each row's average log-likelihood per *visible* slot, with
-transition terms only across contiguously visible steps — the
-generalisation of the fleet's churned-plane scorer to arbitrary masks,
-and identical to it on contiguous activity windows.
+Scoring.  The adversary scores with the repo's one Eq. (1) scorer and
+decision rule (:mod:`repro.core.eavesdropper.scoring`), handing it the
+observation plane and its coverage mask.  A fully visible observation
+set therefore scores exactly like the ML detector (same
+log-likelihoods, same tolerance, same tie-break draw), which is what
+makes the ``oracle`` + full-coverage adversary bit-identical to the
+fleet path.  A censored set (coverage gaps, churned services) scores
+each row's average log-likelihood per *visible* slot, with transition
+terms only across contiguously visible steps — the fleet's churned-plane
+rule, generalised to arbitrary masks.
 
-Every scoring path exists twice: vectorised (default) and a naive
-per-row / per-decision Python reference (``loop_reference=True``); the
-two are bit-identical, mirroring the repo's batch/loop engine contract.
+``loop_reference=True`` scores with a naive per-row Python reference
+instead; the two are bit-identical, and the reference is the test
+oracle of the vectorised scorer.
 """
 
 from __future__ import annotations
@@ -36,13 +37,17 @@ from ..core.eavesdropper.detector import (
     BatchDetectionOutcome,
     DetectionOutcome,
     TrajectoryDetector,
+    _decide_runs,
+    _validate_batch,
+    _validate_plane,
     trajectory_log_likelihoods,
 )
+from ..core.eavesdropper.scoring import eq1_decide, eq1_scores
 from ..mobility.markov import MarkovChain
 from ..numerics import safe_log
 from .coverage import CoverageModel, FullCoverage
 from .knowledge import KnowledgeModel, OracleKnowledge
-from .score_cache import ScoreComponentCache, array_digest, chain_digest
+from .score_cache import ScoreComponentCache
 
 __all__ = ["AdversaryDetector"]
 
@@ -63,18 +68,17 @@ class AdversaryDetector(TrajectoryDetector):
         Log-likelihood tolerance for tie breaking (applied to the
         per-observed-slot *rates* on censored planes).
     loop_reference:
-        Score with the naive per-row / per-decision Python reference
-        instead of the vectorised kernels.  Bit-identical; exists for
-        the equivalence tests and the speedup benchmark.
+        Score with the naive per-row Python reference instead of the
+        vectorised scorer.  Bit-identical; exists for the equivalence
+        tests and the speedup benchmark.
     score_cache:
         Optional :class:`~repro.adversary.score_cache.ScoreComponentCache`
         memoising the per-(chain, stack, plane) gather tables a score is
         assembled from.  Share one cache across the detectors of a
         knowledge x coverage grid and every plane's tables are built
-        once; scores stay bit-identical to the uncached kernels (the
-        tables are coverage-independent, and the mask is applied after
-        the gather exactly as the direct kernel applies it).  Ignored on
-        the ``loop_reference`` path.
+        once; scores stay bit-identical to uncached scoring (the tables
+        are coverage-independent, and the mask is applied after the
+        lookup).  Ignored on the ``loop_reference`` path.
     """
 
     name = "adversary"
@@ -101,34 +105,25 @@ class AdversaryDetector(TrajectoryDetector):
         self.name = f"adversary[{self.knowledge.name}/{self.coverage.name}]"
 
     # ------------------------------------------------------------------
-    # Scoring kernels
+    # Scoring
     # ------------------------------------------------------------------
     def _scores(
         self,
         chain: MarkovChain,
         stack: np.ndarray | None,
-        censored: np.ndarray,
+        observed: np.ndarray,
         mask: np.ndarray,
-        observed: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Decision scores of one ``(N, T)`` censored observation set.
+        """Decision scores of an ``(..., N, T)`` observation tensor.
 
-        Fully visible sets get the plain Eq. (1) log-likelihoods (the
-        bit-identity path with the ML detector); censored sets get the
-        per-observed-slot rates.  Rows with no visible slot score
-        ``-inf``, so an entirely blind adversary degrades to a uniform
-        guess through the ordinary tie-break.  ``observed`` is the
-        pre-coverage plane; when a :attr:`score_cache` is attached it
-        keys the memoised gather tables, which are coverage-independent.
+        :func:`~repro.core.eavesdropper.scoring.eq1_scores` over the
+        pre-coverage plane and the coverage mask, with the attached
+        :attr:`score_cache`: plain Eq. (1) log-likelihoods where
+        everything is visible, per-observed-slot rates elsewhere.
         """
-        if (
-            self.score_cache is not None
-            and not self.loop_reference
-            and observed is not None
-        ):
-            return self._cached_scores(chain, stack, observed, censored, mask)
-        if mask.all():
-            if self.loop_reference:
+        if self.loop_reference:
+            censored = np.where(mask, observed, -1)
+            if mask.all():
                 return np.array(
                     [
                         trajectory_log_likelihoods(chain, censored[row : row + 1], stack)[0]
@@ -136,8 +131,6 @@ class AdversaryDetector(TrajectoryDetector):
                     ],
                     dtype=float,
                 )
-            return trajectory_log_likelihoods(chain, censored, stack)
-        if self.loop_reference:
             return np.array(
                 [
                     self._masked_row_score(chain, stack, censored[row], mask[row])
@@ -145,84 +138,9 @@ class AdversaryDetector(TrajectoryDetector):
                 ],
                 dtype=float,
             )
-        return self._masked_scores(chain, stack, censored, mask)
-
-    def _cached_scores(
-        self,
-        chain: MarkovChain,
-        stack: np.ndarray | None,
-        observed: np.ndarray,
-        censored: np.ndarray,
-        mask: np.ndarray,
-    ) -> np.ndarray:
-        """:meth:`_scores` assembled from memoised gather tables.
-
-        Bit-identical to the direct kernels: the tables are built over
-        ``clip(observed, 0, None)``, and wherever the mask is ``True``
-        the censored plane equals the observed plane, so every entry the
-        reductions keep carries the exact float the uncached kernel
-        would have gathered; masked-out entries are replaced by the same
-        literal ``0.0`` (or discarded behind the same ``observed > 0``
-        guard) before any sum.
-        """
-        cache = self.score_cache
-        assert cache is not None
-        c_d = chain_digest(chain)
-        s_d = array_digest(stack)
-        p_d = array_digest(observed)
-        if mask.all():
-            scores = cache.get_or_compute(
-                ("ll_full", c_d, s_d, p_d),
-                lambda: trajectory_log_likelihoods(chain, censored, stack),
-            )
-            return np.array(scores, dtype=float)
-        horizon = censored.shape[-1]
-        stat_table = cache.get_or_compute(
-            ("stat", c_d, p_d),
-            lambda: chain.log_stationary[np.clip(observed, 0, None)].astype(
-                float
-            ),
+        return eq1_scores(
+            chain, [(observed, mask)], transition_stack=stack, cache=self.score_cache
         )
-        counts = mask.sum(axis=-1)
-        first = np.argmax(mask, axis=-1)
-        scores = np.take_along_axis(stat_table, first[..., None], axis=-1)[..., 0]
-        if horizon > 1:
-
-            def step_table() -> np.ndarray:
-                prev = np.clip(observed[..., :-1], 0, None)
-                nxt = np.clip(observed[..., 1:], 0, None)
-                if stack is None:
-                    return chain.log_transition_entries(prev, nxt)
-                return safe_log(stack)[np.arange(horizon - 1), prev, nxt]
-
-            steps = cache.get_or_compute(("steps", c_d, s_d, p_d), step_table)
-            valid = mask[..., 1:] & mask[..., :-1]
-            scores = scores + np.where(valid, steps, 0.0).sum(axis=-1)
-        return np.where(counts > 0, scores / np.maximum(counts, 1), -np.inf)
-
-    @staticmethod
-    def _masked_scores(
-        chain: MarkovChain,
-        stack: np.ndarray | None,
-        censored: np.ndarray,
-        mask: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorised per-observed-slot rates of a ``(..., N, T)`` tensor."""
-        observed = mask.sum(axis=-1)
-        horizon = censored.shape[-1]
-        first = np.argmax(mask, axis=-1)
-        first_cell = np.take_along_axis(censored, first[..., None], axis=-1)[..., 0]
-        scores = chain.log_stationary[np.clip(first_cell, 0, None)].astype(float)
-        if horizon > 1:
-            prev = np.clip(censored[..., :-1], 0, None)
-            nxt = np.clip(censored[..., 1:], 0, None)
-            if stack is None:
-                step_logs = chain.log_transition_entries(prev, nxt)
-            else:
-                step_logs = safe_log(stack)[np.arange(horizon - 1), prev, nxt]
-            valid = mask[..., 1:] & mask[..., :-1]
-            scores = scores + np.where(valid, step_logs, 0.0).sum(axis=-1)
-        return np.where(observed > 0, scores / np.maximum(observed, 1), -np.inf)
 
     @staticmethod
     def _masked_row_score(
@@ -231,7 +149,7 @@ class AdversaryDetector(TrajectoryDetector):
         row: np.ndarray,
         row_mask: np.ndarray,
     ) -> float:
-        """Naive single-row reference of :meth:`_masked_scores`."""
+        """Naive single-row reference of the masked per-observed-slot rate."""
         observed = row_mask.sum()
         if observed == 0:
             return -np.inf
@@ -248,21 +166,10 @@ class AdversaryDetector(TrajectoryDetector):
             score = score + np.where(valid, step_logs, 0.0).sum()
         return score / observed
 
-    def _candidates(self, scores: np.ndarray) -> np.ndarray:
-        """Indices within ``tolerance`` of the best score (all indices when
-        nothing was visible anywhere — a uniform guess)."""
-        best = float(scores.max())
-        if best == -np.inf:
-            return np.arange(scores.size)
-        return np.flatnonzero(scores >= best - self.tolerance)
-
     def _prepare(
-        self, chain: MarkovChain, trajectories: np.ndarray, ndim: int
+        self, chain: MarkovChain, observed: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        observed = np.asarray(trajectories, dtype=np.int64)
-        if observed.ndim != ndim or observed.size == 0:
-            shape = "(N, T)" if ndim == 2 else "(R, N, T)"
-            raise ValueError(f"trajectories must be a non-empty {shape} array")
+        """The coverage mask and censored plane of a validated plane."""
         if observed.max() >= chain.n_states:
             raise ValueError("trajectories contain out-of-range cells")
         mask = self.coverage.visible_mask(observed, chain.n_states)
@@ -280,16 +187,15 @@ class AdversaryDetector(TrajectoryDetector):
         *,
         transition_stack: np.ndarray | None = None,
     ) -> DetectionOutcome:
-        observed, mask, censored = self._prepare(chain, trajectories, 2)
+        observed, mask, censored = self._prepare(chain, _validate_plane(trajectories))
         self.knowledge.observe(censored, chain.n_states)
         model_chain, model_stack = self.knowledge.scoring_model(
             chain, transition_stack
         )
-        scores = self._scores(model_chain, model_stack, censored, mask, observed)
-        candidates = self._candidates(scores)
-        chosen = int(rng.choice(candidates))
+        scores = self._scores(model_chain, model_stack, observed, mask)
+        chosen, candidates = eq1_decide(scores, [rng], self.tolerance)
         return DetectionOutcome(
-            chosen_index=chosen, scores=scores, candidate_indices=candidates
+            chosen_index=int(chosen[0]), scores=scores, candidate_indices=candidates
         )
 
     def detect_batch(
@@ -302,77 +208,23 @@ class AdversaryDetector(TrajectoryDetector):
     ) -> BatchDetectionOutcome:
         """Score a whole ``(R, N, T)`` batch.
 
-        Each run is one episode: stateful knowledge observes run ``r``'s
-        plane before scoring it, exactly as a sequence of scalar
-        :meth:`detect` calls would, so batched and looped execution stay
-        bit-identical even while the adversary is learning.  Stateless
-        knowledge is scored in one vectorised shot over the tensor.
+        Each run is one episode: stateful knowledge (and the loop
+        reference) runs the scalar :meth:`detect` run by run, so run
+        ``r``'s plane is observed before it is scored and batched and
+        looped execution stay bit-identical even while the adversary is
+        learning.  Stateless knowledge is scored in one vectorised shot.
         """
-        observed, mask, censored = self._prepare(chain, trajectories, 3)
-        rngs = list(rngs)
-        n_runs = observed.shape[0]
-        if len(rngs) != n_runs:
-            raise ValueError("need exactly one generator per run")
-        if self.knowledge.stateful:
-            scores = np.empty(observed.shape[:2], dtype=float)
-            for run in range(n_runs):
-                self.knowledge.observe(censored[run], chain.n_states)
-                model_chain, model_stack = self.knowledge.scoring_model(
-                    chain, transition_stack
-                )
-                scores[run] = self._scores(
-                    model_chain, model_stack, censored[run], mask[run],
-                    observed[run],
-                )
-        else:
-            model_chain, model_stack = self.knowledge.scoring_model(
-                chain, transition_stack
+        if self.knowledge.stateful or self.loop_reference:
+            return super().detect_batch(
+                chain, trajectories, rngs, transition_stack=transition_stack
             )
-            if self.loop_reference:
-                scores = np.stack(
-                    [
-                        self._scores(
-                            model_chain, model_stack, censored[run], mask[run]
-                        )
-                        for run in range(n_runs)
-                    ],
-                    axis=0,
-                )
-            else:
-                scores = self._batch_scores(model_chain, model_stack, censored, mask)
-        chosen = np.empty(n_runs, dtype=np.int64)
-        candidates_per_run: list[np.ndarray] = []
-        for run in range(n_runs):
-            candidates = self._candidates(scores[run])
-            chosen[run] = int(rngs[run].choice(candidates))
-            candidates_per_run.append(candidates)
-        return BatchDetectionOutcome(
-            chosen_indices=chosen,
-            scores=scores,
-            candidate_indices=tuple(candidates_per_run),
+        observed, rngs = _validate_batch(trajectories, rngs)
+        observed, mask, _ = self._prepare(chain, observed)
+        model_chain, model_stack = self.knowledge.scoring_model(
+            chain, transition_stack
         )
-
-    def _batch_scores(
-        self,
-        model_chain: MarkovChain,
-        model_stack: np.ndarray | None,
-        censored: np.ndarray,
-        mask: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorised scoring of an ``(R, N, T)`` tensor, dispatching each
-        run to the same kernel the scalar path would pick for it."""
-        full_runs = mask.reshape(mask.shape[0], -1).all(axis=1)
-        scores = np.empty(censored.shape[:2], dtype=float)
-        if full_runs.any():
-            scores[full_runs] = trajectory_log_likelihoods(
-                model_chain, censored[full_runs], model_stack
-            )
-        if not full_runs.all():
-            rest = ~full_runs
-            scores[rest] = self._masked_scores(
-                model_chain, model_stack, censored[rest], mask[rest]
-            )
-        return scores
+        scores = self._scores(model_chain, model_stack, observed, mask)
+        return _decide_runs(scores, rngs, self.tolerance)
 
     def detect_crowd(
         self,
@@ -389,34 +241,24 @@ class AdversaryDetector(TrajectoryDetector):
         user) and scores it once; only the per-user tie-break draws
         differ, exactly like the ML detector's crowd path.
         """
-        observed, mask, censored = self._prepare(chain, trajectories, 2)
-        rngs = list(rngs)
-        if not rngs:
-            raise ValueError("need at least one generator")
+        observed, mask, censored = self._prepare(chain, _validate_plane(trajectories))
         self.knowledge.observe(censored, chain.n_states)
         model_chain, model_stack = self.knowledge.scoring_model(
             chain, transition_stack
         )
-        if self.loop_reference:
+        rngs = list(rngs)
+        if self.loop_reference and rngs:
             # Naive reference: re-score the crowd for every decision (the
             # broadcast semantics of the base class), same draws.
-            return np.array(
+            return np.concatenate(
                 [
-                    int(
-                        rng.choice(
-                            self._candidates(
-                                self._scores(
-                                    model_chain, model_stack, censored, mask
-                                )
-                            )
-                        )
-                    )
+                    eq1_decide(
+                        self._scores(model_chain, model_stack, observed, mask),
+                        [rng],
+                        self.tolerance,
+                    )[0]
                     for rng in rngs
-                ],
-                dtype=np.int64,
+                ]
             )
-        scores = self._scores(model_chain, model_stack, censored, mask, observed)
-        candidates = self._candidates(scores)
-        return np.array(
-            [int(rng.choice(candidates)) for rng in rngs], dtype=np.int64
-        )
+        scores = self._scores(model_chain, model_stack, observed, mask)
+        return eq1_decide(scores, rngs, self.tolerance)[0]

@@ -9,15 +9,14 @@ coverage mask.  :class:`ScoreComponentCache` memoises exactly those
 pieces, keyed by content digests, so the coverage sweep pays for each
 table once and every further point is a cheap mask-and-reduce.
 
-Bit-identity.  The tables are built over ``clip(plane, 0, None)`` of the
-*uncensored* plane.  Wherever the coverage mask is ``True`` the censored
-plane equals the observed plane, so the gathered entries match the
-uncached kernel's float for float; wherever it is ``False`` both kernels
-replace the entry with exactly ``0.0`` (or drop it behind the
-``observed > 0`` guard) before any reduction.  The remaining reductions
-run over arrays of identical shape and identical values, so the cached
-scores are bit-identical to :meth:`AdversaryDetector._masked_scores` —
-the equivalence the cache tests pin.
+Bit-identity.  :func:`~repro.core.eavesdropper.scoring.eq1_scores`
+looks its tables up here when given a cache, and builds them over
+``clip(plane, 0, None)`` of the *uncensored* plane either way.  A cached
+table holds exactly the floats the uncached gather would produce, and
+the coverage mask is applied after the lookup (masked-out entries become
+``0.0``, or drop behind the ``observed > 0`` guard, before any
+reduction), so cached scores are bit-identical to uncached ones — the
+equivalence the cache tests pin.
 
 Digests use only the public chain surface (``log_stationary`` and
 ``transition_edges()``), so a learned adversary's refitted chain gets a

@@ -28,7 +28,9 @@ from .detector import (
     DetectionOutcome,
     MaximumLikelihoodDetector,
     TrajectoryDetector,
+    _decide_runs,
     _validate_batch,
+    _validate_plane,
     trajectory_log_likelihoods,
 )
 
@@ -70,30 +72,10 @@ class StrategyAwareDetector(TrajectoryDetector):
         *,
         transition_stack: np.ndarray | None = None,
     ) -> DetectionOutcome:
-        observed = np.asarray(trajectories, dtype=np.int64)
-        if observed.ndim != 2 or observed.size == 0:
-            raise ValueError("trajectories must be a non-empty (N, T) array")
-        flagged = self._flag_chaffs(chain, observed)
-        survivors = np.flatnonzero(~flagged)
-        if survivors.size == 0:
-            # Everything was attributed to a chaff: fall back to a guess.
-            chosen = int(rng.integers(0, observed.shape[0]))
-            return DetectionOutcome(
-                chosen_index=chosen,
-                scores=np.full(observed.shape[0], np.nan),
-                candidate_indices=np.arange(observed.shape[0]),
-            )
-        scores = np.full(observed.shape[0], -np.inf)
-        survivor_scores = trajectory_log_likelihoods(
-            chain, observed[survivors], transition_stack
-        )
-        scores[survivors] = survivor_scores
-        best = float(survivor_scores.max())
-        candidates = survivors[survivor_scores >= best - self._ml.tolerance]
-        chosen = int(rng.choice(candidates))
-        return DetectionOutcome(
-            chosen_index=chosen, scores=scores, candidate_indices=candidates
-        )
+        observed = _validate_plane(trajectories)
+        return self.detect_batch(
+            chain, observed[None], [rng], transition_stack=transition_stack
+        ).outcome(0)
 
     def detect_batch(
         self,
@@ -108,39 +90,21 @@ class StrategyAwareDetector(TrajectoryDetector):
         Chaff flagging stays per run (the deterministic map is a
         per-trajectory computation, memoised across runs), but the ML
         stage scores the *whole* tensor in one vectorised shot instead of
-        one likelihood pass per run.  Each run consumes its generator
-        exactly like a scalar :meth:`detect` call (one tie-break draw, or
-        one uniform guess when every trajectory was flagged), so batched
-        and looped execution stay bit-identical.
+        one likelihood pass per run.  Flagged rows score ``-inf``, so each
+        run makes exactly one :func:`eq1_decide` draw — a uniform guess
+        when every row was flagged, reported with ``nan`` scores as a
+        guesser reports them.
         """
-        observed = _validate_batch(trajectories)
-        rngs = list(rngs)
-        n_runs, n, _ = observed.shape
-        if len(rngs) != n_runs:
-            raise ValueError("need exactly one generator per run")
-        all_scores = trajectory_log_likelihoods(chain, observed, transition_stack)
-        scores = np.full((n_runs, n), -np.inf)
-        chosen = np.empty(n_runs, dtype=np.int64)
-        candidates_per_run: list[np.ndarray] = []
-        for run in range(n_runs):
-            flagged = self._flag_chaffs(chain, observed[run])
-            survivors = np.flatnonzero(~flagged)
-            if survivors.size == 0:
-                scores[run] = np.nan
-                chosen[run] = int(rngs[run].integers(0, n))
-                candidates_per_run.append(np.arange(n))
-                continue
-            survivor_scores = all_scores[run, survivors]
-            scores[run, survivors] = survivor_scores
-            best = float(survivor_scores.max())
-            candidates = survivors[survivor_scores >= best - self._ml.tolerance]
-            chosen[run] = int(rngs[run].choice(candidates))
-            candidates_per_run.append(candidates)
-        return BatchDetectionOutcome(
-            chosen_indices=chosen,
-            scores=scores,
-            candidate_indices=tuple(candidates_per_run),
+        observed, rngs = _validate_batch(trajectories, rngs)
+        flagged = np.stack([self._flag_chaffs(chain, plane) for plane in observed])
+        scores = np.where(
+            flagged,
+            -np.inf,
+            trajectory_log_likelihoods(chain, observed, transition_stack),
         )
+        outcome = _decide_runs(scores, rngs, self._ml.tolerance)
+        scores[flagged.all(axis=1)] = np.nan
+        return outcome
 
     # ------------------------------------------------------------------
     def _flag_chaffs(self, chain: MarkovChain, observed: np.ndarray) -> np.ndarray:

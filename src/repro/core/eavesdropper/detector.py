@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ...mobility.markov import MarkovChain
+from .scoring import eq1_decide, eq1_scores
 
 __all__ = [
     "TrajectoryDetector",
@@ -48,7 +49,7 @@ def trajectory_log_likelihoods(
         raise ValueError("trajectories must be a non-empty (..., N, T) array")
     if observed.min() < 0 or observed.max() >= chain.n_states:
         raise ValueError("trajectories contain out-of-range cells")
-    return chain.log_likelihoods(observed, transition_stack=transition_stack)
+    return eq1_scores(chain, [(observed, None)], transition_stack=transition_stack)
 
 
 @dataclass(frozen=True)
@@ -105,11 +106,39 @@ class BatchDetectionOutcome:
         )
 
 
-def _validate_batch(trajectories: np.ndarray) -> np.ndarray:
+def _validate_plane(trajectories: np.ndarray) -> np.ndarray:
+    observed = np.asarray(trajectories, dtype=np.int64)
+    if observed.ndim != 2 or observed.size == 0:
+        raise ValueError("trajectories must be a non-empty (N, T) array")
+    return observed
+
+
+def _validate_batch(
+    trajectories: np.ndarray, rngs: Sequence[np.random.Generator]
+) -> tuple[np.ndarray, list[np.random.Generator]]:
     observed = np.asarray(trajectories, dtype=np.int64)
     if observed.ndim != 3 or observed.size == 0:
         raise ValueError("trajectories must be a non-empty (R, N, T) array")
-    return observed
+    generators = list(rngs)
+    if len(generators) != observed.shape[0]:
+        raise ValueError("need exactly one generator per run")
+    return observed, generators
+
+
+def _decide_runs(
+    scores: np.ndarray, rngs: Sequence[np.random.Generator], tolerance: float
+) -> BatchDetectionOutcome:
+    """One :func:`eq1_decide` draw per run of an ``(R, N)`` score matrix."""
+    decisions = [
+        eq1_decide(scores[run], [rng], tolerance) for run, rng in enumerate(rngs)
+    ]
+    return BatchDetectionOutcome(
+        chosen_indices=np.array(
+            [int(chosen[0]) for chosen, _ in decisions], dtype=np.int64
+        ),
+        scores=scores,
+        candidate_indices=tuple(candidates for _, candidates in decisions),
+    )
 
 
 class TrajectoryDetector(abc.ABC):
@@ -157,10 +186,7 @@ class TrajectoryDetector(abc.ABC):
         when set, so detectors that cannot score time-varying chains keep
         working in static worlds.
         """
-        observed = _validate_batch(trajectories)
-        rngs = list(rngs)
-        if len(rngs) != observed.shape[0]:
-            raise ValueError("need exactly one generator per run")
+        observed, rngs = _validate_batch(trajectories, rngs)
         if transition_stack is None:
             extra = {}
         else:
@@ -205,9 +231,7 @@ class TrajectoryDetector(abc.ABC):
 
         Returns the length-``len(rngs)`` array of chosen row indices.
         """
-        observed = np.asarray(trajectories, dtype=np.int64)
-        if observed.ndim != 2 or observed.size == 0:
-            raise ValueError("trajectories must be a non-empty (N, T) array")
+        observed = _validate_plane(trajectories)
         rngs = list(rngs)
         if not rngs:
             raise ValueError("need at least one generator")
@@ -244,11 +268,9 @@ class MaximumLikelihoodDetector(TrajectoryDetector):
         transition_stack: np.ndarray | None = None,
     ) -> DetectionOutcome:
         scores = trajectory_log_likelihoods(chain, trajectories, transition_stack)
-        best = float(scores.max())
-        candidates = np.flatnonzero(scores >= best - self.tolerance)
-        chosen = int(rng.choice(candidates))
+        chosen, candidates = eq1_decide(scores, [rng], self.tolerance)
         return DetectionOutcome(
-            chosen_index=chosen, scores=scores, candidate_indices=candidates
+            chosen_index=int(chosen[0]), scores=scores, candidate_indices=candidates
         )
 
     def detect_batch(
@@ -265,24 +287,9 @@ class MaximumLikelihoodDetector(TrajectoryDetector):
         (it must, to keep the random streams aligned with the looped
         engine).
         """
-        observed = _validate_batch(trajectories)
-        rngs = list(rngs)
-        n_runs = observed.shape[0]
-        if len(rngs) != n_runs:
-            raise ValueError("need exactly one generator per run")
+        observed, rngs = _validate_batch(trajectories, rngs)
         scores = trajectory_log_likelihoods(chain, observed, transition_stack)
-        chosen = np.empty(n_runs, dtype=np.int64)
-        candidates_per_run: list[np.ndarray] = []
-        best = scores.max(axis=1)
-        for run in range(n_runs):
-            candidates = np.flatnonzero(scores[run] >= best[run] - self.tolerance)
-            chosen[run] = int(rngs[run].choice(candidates))
-            candidates_per_run.append(candidates)
-        return BatchDetectionOutcome(
-            chosen_indices=chosen,
-            scores=scores,
-            candidate_indices=tuple(candidates_per_run),
-        )
+        return _decide_runs(scores, rngs, self.tolerance)
 
     def detect_crowd(
         self,
@@ -300,14 +307,9 @@ class MaximumLikelihoodDetector(TrajectoryDetector):
         generator still makes exactly its one tie-break draw, keeping the
         choices bit-identical to the broadcast path.
         """
-        observed = np.asarray(trajectories, dtype=np.int64)
-        if observed.ndim != 2 or observed.size == 0:
-            raise ValueError("trajectories must be a non-empty (N, T) array")
+        observed = _validate_plane(trajectories)
         scores = trajectory_log_likelihoods(chain, observed, transition_stack)
-        candidates = np.flatnonzero(scores >= float(scores.max()) - self.tolerance)
-        return np.array(
-            [int(rng.choice(candidates)) for rng in rngs], dtype=np.int64
-        )
+        return eq1_decide(scores, list(rngs), self.tolerance)[0]
 
 
 class RandomGuessDetector(TrajectoryDetector):
@@ -320,38 +322,16 @@ class RandomGuessDetector(TrajectoryDetector):
         chain: MarkovChain,
         trajectories: np.ndarray,
         rng: np.random.Generator,
-    ) -> DetectionOutcome:
-        observed = np.asarray(trajectories, dtype=np.int64)
-        if observed.ndim != 2 or observed.size == 0:
-            raise ValueError("trajectories must be a non-empty (N, T) array")
-        n = observed.shape[0]
-        chosen = int(rng.integers(0, n))
-        return DetectionOutcome(
-            chosen_index=chosen,
-            scores=np.full(n, np.nan),
-            candidate_indices=np.arange(n),
-        )
-
-    def detect_batch(
-        self,
-        chain: MarkovChain,
-        trajectories: np.ndarray,
-        rngs: Sequence[np.random.Generator],
         *,
         transition_stack: np.ndarray | None = None,
-    ) -> BatchDetectionOutcome:
-        """Guess uniformly per run; no scoring work to vectorise (the
-        time-varying chain is irrelevant to a guesser)."""
-        observed = _validate_batch(trajectories)
-        rngs = list(rngs)
-        n_runs, n, _ = observed.shape
-        if len(rngs) != n_runs:
-            raise ValueError("need exactly one generator per run")
-        chosen = np.array(
-            [int(rng.integers(0, n)) for rng in rngs], dtype=np.int64
-        )
-        return BatchDetectionOutcome(
-            chosen_indices=chosen,
-            scores=np.full((n_runs, n), np.nan),
-            candidate_indices=tuple(np.arange(n) for _ in range(n_runs)),
+    ) -> DetectionOutcome:
+        """Guess uniformly: every row scores ``-inf`` for :func:`eq1_decide`
+        (a time-varying chain is irrelevant to a guesser)."""
+        observed = _validate_plane(trajectories)
+        n = observed.shape[0]
+        chosen, candidates = eq1_decide(np.full(n, -np.inf), [rng], 0.0)
+        return DetectionOutcome(
+            chosen_index=int(chosen[0]),
+            scores=np.full(n, np.nan),
+            candidate_indices=candidates,
         )

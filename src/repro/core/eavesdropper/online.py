@@ -28,6 +28,7 @@ import numpy as np
 
 from ...mobility.markov import MarkovChain
 from ...numerics import safe_log
+from .scoring import eq1_decide
 
 __all__ = [
     "OnlineTrackingResult",
@@ -204,12 +205,9 @@ class PrefixMLTracker:
         posteriors = np.empty((horizon, n), dtype=float)
         for t in range(horizon):
             scores = prefix_scores[:, t]
-            best = scores.max()
-            candidates = np.flatnonzero(scores >= best - 1e-9)
-            pick = int(rng.choice(candidates))
-            chosen[t] = pick
-            estimated[t] = observed[pick, t]
-            weights = np.exp(scores - best)
+            chosen[t] = eq1_decide(scores, [rng], 1e-9)[0][0]
+            estimated[t] = observed[chosen[t], t]
+            weights = np.exp(scores - scores.max())
             posteriors[t] = weights / weights.sum()
         return OnlineTrackingResult(
             estimated_cells=estimated,
@@ -290,8 +288,7 @@ class BayesianPosteriorTracker:
             chosen[t] = int(np.argmax(weights))
             cell_mass = np.zeros(chain.n_states, dtype=float)
             np.add.at(cell_mass, observed[:, t], weights)
-            best_cells = np.flatnonzero(cell_mass >= cell_mass.max() - 1e-12)
-            estimated[t] = int(rng.choice(best_cells))
+            estimated[t] = eq1_decide(cell_mass, [rng], 1e-12)[0][0]
         return OnlineTrackingResult(
             estimated_cells=estimated,
             chosen_indices=chosen,

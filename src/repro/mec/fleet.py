@@ -48,7 +48,7 @@ each other under any timeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -57,10 +57,11 @@ from ..core.eavesdropper.detector import (
     RandomGuessDetector,
     TrajectoryDetector,
 )
+from ..core.eavesdropper.scoring import eq1_decide, eq1_scores
 from ..core.strategies.base import ChaffStrategy
 from ..mobility.markov import MarkovChain
 from ..sim.parallel import get_shared, parallel_map, resolve_workers, shard_slices
-from ..sim.seeding import as_seed_sequence, spawn_sequences_range
+from ..sim.seeding import as_seed_sequence, spawn_generators, spawn_sequences_range
 from ..telemetry import NULL_RECORDER
 from ..world.timeline import Timeline, WorldSchedule
 from .costs import CostLedger, CostModel
@@ -323,100 +324,91 @@ class FleetReport:
                 "no evaluation seed: pass one explicitly or evaluate a "
                 "report produced by FleetSimulation.run"
             )
-        root = as_seed_sequence(seed)
-        n_users = self.n_users
-        rngs = [np.random.default_rng(child) for child in root.spawn(n_users)]
+        rngs = spawn_generators(seed, self.n_users)
         plane = self.observations
-        masked = self.windows is not None and (
-            np.any(self.windows[:, 0] != 0)
-            or np.any(self.windows[:, 1] != self.horizon)
-        )
-        if not masked:
-            if self.transition_stack is None:
-                chosen = detector.detect_crowd(chain, plane.trajectories, rngs)
-            else:
-                chosen = detector.detect_crowd(
-                    chain,
-                    plane.trajectories,
-                    rngs,
-                    transition_stack=self.transition_stack,
-                )
-            tracked = plane.trajectories[chosen] == self.user_trajectories
-            tracking = tracked.mean(axis=1)
+        traj = plane.trajectories
+        stack = self.transition_stack
+        masked = windows_censor(self.windows, self.horizon)
+        if not masked or getattr(detector, "supports_censored_planes", False):
+            # Detectors that understand -1-marked planes (the adversary
+            # layer) score a churned plane themselves, windows and all.
+            extra = {} if stack is None else {"transition_stack": stack}
+            chosen = detector.detect_crowd(chain, traj, rngs, **extra)
         else:
-            if getattr(detector, "supports_censored_planes", False):
-                # Detectors that understand -1-marked planes (the
-                # adversary layer) score the churned plane themselves,
-                # windows and all.
-                chosen = detector.detect_crowd(
-                    chain,
-                    plane.trajectories,
-                    rngs,
-                    transition_stack=self.transition_stack,
-                )
-            else:
-                chosen = self._detect_crowd_masked(chain, detector, rngs)
-            # A user is tracked on a slot when the chosen row observes the
-            # user's cell there; scoring is restricted to the user's own
-            # activity window (dead slots of the chosen row never match —
-            # they hold -1).
-            user_windows = self.windows[plane.real_rows]
-            slots = np.arange(self.horizon)
-            in_window = (user_windows[:, :1] <= slots) & (
-                slots < user_windows[:, 1:]
+            # Rows observed over different windows score their
+            # per-observed-slot rates (a dead slot holds -1).
+            chosen = crowd_choices(
+                detector,
+                rngs,
+                plane.n_services,
+                lambda: eq1_scores(chain, [(traj, traj >= 0)], transition_stack=stack),
+                "a churned observation plane (rows observed over different windows)",
             )
-            tracked = plane.trajectories[chosen] == self.user_trajectories
-            tracking = (tracked & in_window).sum(axis=1) / in_window.sum(axis=1)
+        tracked, observed = tracked_slots(
+            traj[chosen],
+            self.user_trajectories,
+            self.windows[plane.real_rows] if masked else None,
+        )
         return FleetEvaluation(
             chosen_rows=chosen,
-            tracking_per_user=tracking,
+            tracking_per_user=tracked / observed,
             detected_per_user=(chosen == plane.real_rows).astype(float),
         )
 
-    def _detect_crowd_masked(
-        self,
-        chain: MarkovChain,
-        detector: TrajectoryDetector,
-        rngs: "list[np.random.Generator]",
-    ) -> np.ndarray:
-        """Per-user crowd decisions over a churned observation plane.
 
-        Each candidate row is scored by its *per-observed-slot* average
-        log-likelihood over its own activity window (under the
-        time-varying chain when a regime stack is present): the rate
-        normalisation keeps rows with different observation lengths
-        comparable, and reduces to the ordinary ML ranking when every
-        row spans the full episode.  The kernel is the adversary layer's
-        masked scorer — one implementation serves contiguous windows and
-        arbitrary coverage masks alike (a churned plane's dead slots are
-        its ``-1`` entries).  Tie-breaking consumes one draw per user
-        generator, exactly like the unmasked crowd path.
-        """
-        # Deferred import: the adversary package's Monte-Carlo module
-        # imports this module, so binding at call time avoids the cycle.
-        from ..adversary.detector import AdversaryDetector
+def windows_censor(windows: np.ndarray | None, horizon: int) -> bool:
+    """Whether some service's activity window misses part of ``[0, horizon)``.
 
-        plane = self.observations
-        n_rows = plane.n_services
-        if isinstance(detector, RandomGuessDetector):
-            return np.array(
-                [int(rng.integers(0, n_rows)) for rng in rngs], dtype=np.int64
-            )
-        if not isinstance(detector, MaximumLikelihoodDetector):
-            raise NotImplementedError(
-                f"detector {detector.name!r} cannot score a churned "
-                "observation plane (rows observed over different windows)"
-            )
-        traj = plane.trajectories
-        scores = AdversaryDetector._masked_scores(
-            chain, self.transition_stack, traj, traj >= 0
-        )
-        candidates = np.flatnonzero(
-            scores >= float(scores.max()) - detector.tolerance
-        )
-        return np.array(
-            [int(rng.choice(candidates)) for rng in rngs], dtype=np.int64
-        )
+    Exactly then the observation plane holds ``-1`` dead slots, and
+    evaluation scores per-observed-slot rates and counts tracking inside
+    each user's own window.
+    """
+    return windows is not None and bool(
+        np.any(windows[:, 0] != 0) or np.any(windows[:, 1] != horizon)
+    )
+
+
+def tracked_slots(
+    chosen_cells: np.ndarray,
+    user_cells: np.ndarray,
+    user_windows: np.ndarray | None,
+    start: int = 0,
+) -> tuple[np.ndarray, "np.ndarray | int"]:
+    """Per-user ``(tracked, observed)`` slot counts over ``(M, width)`` columns.
+
+    The columns are slots ``[start, start + width)``.  A user is tracked
+    on a slot when the row chosen for them observes their cell there.
+    With ``user_windows`` (``(M, 2)`` activity windows) only the slots
+    inside a user's own window count; the chosen row's dead slots hold
+    ``-1`` and never match.
+    """
+    equal = chosen_cells == user_cells
+    if user_windows is None:
+        return equal.sum(axis=1), equal.shape[1]
+    slots = np.arange(start, start + equal.shape[1])
+    in_window = (user_windows[:, :1] <= slots) & (slots < user_windows[:, 1:])
+    return (equal & in_window).sum(axis=1), in_window.sum(axis=1)
+
+
+def crowd_choices(
+    detector: TrajectoryDetector,
+    rngs: "list[np.random.Generator]",
+    n_rows: int,
+    score: "Callable[[], np.ndarray]",
+    plane: str,
+) -> np.ndarray:
+    """Per-user decisions of a shipped detector over a plane scored here.
+
+    The fleet paths that score ``plane`` themselves (churned, run-stacked
+    and streamed planes) serve the maximum-likelihood detector, whose
+    Eq. (1) scores ``score()`` computes, and the random guesser, which
+    scores every row ``-inf`` and so draws uniformly; they refuse others.
+    """
+    if isinstance(detector, RandomGuessDetector):
+        return eq1_decide(np.full(n_rows, -np.inf), rngs, 0.0)[0]
+    if not isinstance(detector, MaximumLikelihoodDetector):
+        raise NotImplementedError(f"detector {detector.name!r} cannot score {plane}")
+    return eq1_decide(score(), rngs, detector.tolerance)[0]
 
 
 class _FleetSlotKernel:

@@ -27,13 +27,14 @@ Stacking is an execution knob, never a modelling change:
   the same walk, on the same view of the same load state, in the same
   order, as the per-episode path.  A stack of one skips this layer and
   drives the plain kernel with its own engine.
-* **Evaluation** scores the whole ``(S, N, T)`` stack in one vectorised
-  shot for the shipped scoring detectors and replays the per-run
-  tie-break draws from each run's own evaluation seed, reproducing
-  :meth:`FleetReport.evaluate` decision by decision.  Detectors the fast
-  path does not know fall back to per-run reports and the standard
-  evaluation, which is always available through
-  :meth:`StackedRunOutcome.to_reports`.
+* **Evaluation** scores the whole ``(S, N, T)`` stack with one
+  :func:`~repro.core.eavesdropper.scoring.eq1_scores` call for the
+  shipped scoring detectors, then makes each run's decisions with
+  :func:`~repro.core.eavesdropper.scoring.eq1_decide` from that run's
+  own evaluation seed, reproducing :meth:`FleetReport.evaluate`
+  decision by decision.  Detectors the fast path does not know fall
+  back to per-run reports and the standard evaluation, which is always
+  available through :meth:`StackedRunOutcome.to_reports`.
 
 Batch runs the slot loop (:meth:`~repro.mec.fleet._FleetSlotKernel.advance`)
 as one ``[0, T)`` window.  ``engine="stream"`` samples each run in
@@ -54,9 +55,9 @@ from ..core.eavesdropper.detector import (
     MaximumLikelihoodDetector,
     RandomGuessDetector,
     TrajectoryDetector,
-    trajectory_log_likelihoods,
 )
-from ..sim.seeding import as_seed_sequence
+from ..core.eavesdropper.scoring import eq1_scores
+from ..sim.seeding import spawn_generators
 from ..telemetry import NULL_RECORDER
 from .costs import CostLedger
 from .fleet import (
@@ -64,6 +65,9 @@ from .fleet import (
     FleetSimulation,
     _episode_metrics,
     _FleetSlotKernel,
+    crowd_choices,
+    tracked_slots,
+    windows_censor,
 )
 from .placement import PlacementEngine, PlacementStats, placement_engine
 
@@ -458,112 +462,65 @@ class StackedRunOutcome:
         The fast path serves exactly the shipped scoring detectors
         (:class:`MaximumLikelihoodDetector`,
         :class:`RandomGuessDetector`): the stacked plane is scored in
-        one vectorised shot in service-id order (log-likelihoods are
-        row-independent, so permuting afterwards equals scoring the
-        permuted plane), then each run replays its tie-break draws from
-        its own evaluation seed.  Anything else falls back to
-        :meth:`to_reports` and the standard per-run evaluation.
+        one Eq. (1) call in service-id order (scores are row-independent,
+        so permuting afterwards equals scoring the permuted plane), then
+        each run replays its tie-break draws from its own evaluation
+        seed.  Anything else falls back to :meth:`to_reports` and the
+        standard per-run evaluation.
         """
+        sim = self.simulation
         if not supports_fast_metrics(detector):
-            sim = self.simulation
             return [
                 _episode_metrics(sim, report, detector, recorder)
                 for report in self.to_reports()
             ]
         with recorder.span("kernel/detect", runs=self.run_stack):
-            return self._fast_metrics(detector)
-
-    def _fast_metrics(self, detector: TrajectoryDetector) -> list[tuple]:
-        from ..adversary.detector import AdversaryDetector
-
-        sim = self.simulation
-        stack_size = self.run_stack
-        n_users = sim.config.n_users
-        horizon = sim.config.horizon
-        n_services = self.owners.size
-        windows = self.svc_windows
-        masked = windows is not None and (
-            np.any(windows[:, 0] != 0) or np.any(windows[:, 1] != horizon)
-        )
-        guessing = isinstance(detector, RandomGuessDetector)
-        scores_all: np.ndarray | None = None
-        if not guessing:
+            stack_size = self.run_stack
+            n_users = sim.config.n_users
+            horizon = sim.config.horizon
+            n_services = self.owners.size
+            masked = windows_censor(self.svc_windows, horizon)
             histories = self.histories_st.reshape(stack_size, n_services, horizon)
-            if masked:
-                scores_all = AdversaryDetector._masked_scores(
-                    sim.chain, sim._stack, histories, histories >= 0
+            scores_all = None
+            if not isinstance(detector, RandomGuessDetector):
+                scores_all = eq1_scores(
+                    sim.chain,
+                    [(histories, histories >= 0 if masked else None)],
+                    transition_stack=sim._stack,
                 )
-            else:
-                scores_all = trajectory_log_likelihoods(
-                    sim.chain, histories, sim._stack
+            real_id = np.flatnonzero(self.is_real)
+            user_windows = self.svc_windows[real_id] if masked else None
+            per_user_cost_st = self.mig_total + self.comm_total + self.chaff_total
+            metrics = []
+            for run in range(stack_size):
+                order = self.orders[run]
+                chosen = crowd_choices(
+                    detector,
+                    spawn_generators(self.evaluation_seeds[run], n_users),
+                    n_services,
+                    lambda run=run, order=order: scores_all[run][order],
+                    "a run stack",
                 )
-        real_id = np.flatnonzero(self.is_real)
-        if masked:
-            user_windows = windows[real_id]
-            slots = np.arange(horizon)
-            in_window = (user_windows[:, :1] <= slots) & (
-                slots < user_windows[:, 1:]
-            )
-            window_counts = in_window.sum(axis=1)
-        per_user_cost_st = self.mig_total + self.comm_total + self.chaff_total
-        metrics = []
-        for run in range(stack_size):
-            order = self.orders[run]
-            row_of_service = np.empty_like(order)
-            row_of_service[order] = np.arange(order.size)
-            real_rows = row_of_service[real_id]
-            rngs = [
-                np.random.default_rng(child)
-                for child in as_seed_sequence(
-                    self.evaluation_seeds[run]
-                ).spawn(n_users)
-            ]
-            if guessing:
-                chosen = np.array(
-                    [int(rng.integers(0, n_services)) for rng in rngs],
-                    dtype=np.int64,
+                base = run * n_users
+                tracked, observed = tracked_slots(
+                    histories[run][order[chosen]],
+                    self.users_st[base : base + n_users],
+                    user_windows,
                 )
-            else:
-                scores = scores_all[run][order]
-                candidates = np.flatnonzero(
-                    scores >= float(scores.max()) - detector.tolerance
+                stats = self.placement_stats[run]
+                metrics.append(
+                    (
+                        tracked / observed,
+                        (chosen == np.argsort(order)[real_id]).astype(float),
+                        per_user_cost_st[base : base + n_users].copy(),
+                        int(self.migrations[base : base + n_users].sum()),
+                        stats.rejected,
+                        stats.spilled,
+                        stats.evicted,
+                        stats.stranded,
+                    )
                 )
-                # ``rng.choice(candidates)`` with replacement and no
-                # weights draws exactly ``integers(0, len(candidates))``,
-                # so indexing directly consumes the identical stream at a
-                # fraction of the per-call overhead.
-                size = candidates.size
-                chosen = np.array(
-                    [
-                        int(candidates[rng.integers(0, size)])
-                        for rng in rngs
-                    ],
-                    dtype=np.int64,
-                )
-            rows = slice(run * n_services, (run + 1) * n_services)
-            base = run * n_users
-            tracked = (
-                self.histories_st[rows][order[chosen]]
-                == self.users_st[base : base + n_users]
-            )
-            if masked:
-                tracking = (tracked & in_window).sum(axis=1) / window_counts
-            else:
-                tracking = tracked.mean(axis=1)
-            stats = self.placement_stats[run]
-            metrics.append(
-                (
-                    tracking,
-                    (chosen == real_rows).astype(float),
-                    per_user_cost_st[base : base + n_users].copy(),
-                    int(self.migrations[base : base + n_users].sum()),
-                    stats.rejected,
-                    stats.spilled,
-                    stats.evicted,
-                    stats.stranded,
-                )
-            )
-        return metrics
+            return metrics
 
 
 # ----------------------------------------------------------------------

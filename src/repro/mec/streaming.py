@@ -30,9 +30,11 @@ the *same* simulation as a disk-backed pipeline:
 :meth:`StreamingFleetReport.materialise` folds the chunks back into an
 ordinary :class:`~repro.mec.fleet.FleetReport` (bit-identical to the
 batch engine's, including evaluations) for the small-``M`` contract;
-:meth:`StreamingFleetReport.evaluate` scores detectors chunk-by-chunk
-without ever materialising the plane — same choices, with scores
-accumulated per chunk (equal to within float summation order).
+:meth:`StreamingFleetReport.evaluate` scores detectors without ever
+materialising the plane: it feeds the stored chunks one by one to the
+Eq. (1) scorer (:func:`~repro.core.eavesdropper.scoring.eq1_scores`),
+which accumulates them as consecutive slot windows — same choices, with
+scores equal to the whole-plane ones to within float summation order.
 """
 
 from __future__ import annotations
@@ -44,15 +46,11 @@ from typing import Iterator
 
 import numpy as np
 
-from ..core.eavesdropper.detector import (
-    MaximumLikelihoodDetector,
-    RandomGuessDetector,
-    TrajectoryDetector,
-)
+from ..core.eavesdropper.detector import TrajectoryDetector
+from ..core.eavesdropper.scoring import eq1_scores
 from ..mobility.markov import MarkovChain
-from ..numerics import safe_log
 from ..sim.cache import EpisodeStore
-from ..sim.seeding import as_seed_sequence
+from ..sim.seeding import as_seed_sequence, spawn_generators
 from ..telemetry import NULL_RECORDER
 from .costs import CostLedger
 from .fleet import (
@@ -60,7 +58,10 @@ from .fleet import (
     FleetReport,
     FleetSimulation,
     _FleetSlotKernel,
+    crowd_choices,
     materialise_full_plane,
+    tracked_slots,
+    windows_censor,
 )
 from .placement import PlacementStats, placement_engine
 
@@ -250,91 +251,6 @@ class StreamingFleetReport:
         )
 
     # ------------------------------------------------------------------
-    # Incremental evaluation: chunked prefix-LL scoring
-    # ------------------------------------------------------------------
-    def _masked(self) -> bool:
-        return self.svc_windows is not None and (
-            bool(np.any(self.svc_windows[:, 0] != 0))
-            or bool(np.any(self.svc_windows[:, 1] != self.horizon))
-        )
-
-    def _stack_slice(self, start: int, stop: int) -> np.ndarray | None:
-        """Per-step matrices governing transitions into ``[start, stop)``."""
-        stack = self.simulation._stack
-        if stack is None:
-            return None
-        first = max(start, 1)
-        return stack[first - 1 : stop - 1]
-
-    def _score_chunks(self, chain: MarkovChain) -> np.ndarray:
-        """Per-row log-likelihood scores, accumulated chunk by chunk.
-
-        Rows are scored in service-id order (chunks are stored that way)
-        and permuted into presentation order at the end.  The values
-        match the monolithic scorers up to float summation order: each
-        chunk's step terms are summed locally and added to a running
-        total, where the batch path sums all ``T - 1`` terms in one
-        pairwise reduction — same choices in practice, asserted
-        ``allclose`` (not bit-equal) by the tests.
-        """
-        n = self.n_services
-        masked = self._masked()
-        scores = np.zeros(n, dtype=float)
-        observed = np.zeros(n, dtype=np.int64)
-        seen = np.zeros(n, dtype=bool)
-        prev_col: np.ndarray | None = None
-        prev_mask: np.ndarray | None = None
-        for index, chunk in self.store.iter_chunks("histories"):
-            start = index * self.chunk_slots
-            stop = start + chunk.shape[1]
-            mask = chunk >= 0
-            if masked:
-                visible = mask.any(axis=1)
-                newly = visible & ~seen
-                if np.any(newly):
-                    first_cell = chunk[
-                        np.arange(n), np.argmax(mask, axis=1)
-                    ]
-                    scores[newly] += chain.log_stationary[
-                        np.clip(first_cell[newly], 0, None)
-                    ]
-                seen |= visible
-                observed += mask.sum(axis=1)
-            elif start == 0:
-                scores += chain.log_stationary[chunk[:, 0]]
-            if start == 0:
-                prev_cells = chunk[:, :-1]
-                next_cells = chunk[:, 1:]
-                prev_valid = mask[:, :-1]
-                next_valid = mask[:, 1:]
-            else:
-                prev_cells = np.concatenate([prev_col[:, None], chunk[:, :-1]], axis=1)
-                next_cells = chunk
-                prev_valid = np.concatenate([prev_mask[:, None], mask[:, :-1]], axis=1)
-                next_valid = mask
-            if next_cells.shape[1]:
-                stack_w = self._stack_slice(start, stop)
-                pc = np.clip(prev_cells, 0, None)
-                nc = np.clip(next_cells, 0, None)
-                if stack_w is None:
-                    step_logs = chain.log_transition_entries(pc, nc)
-                else:
-                    step_logs = safe_log(stack_w)[
-                        np.arange(stack_w.shape[0]), pc, nc
-                    ]
-                if masked:
-                    valid = prev_valid & next_valid
-                    scores += np.where(valid, step_logs, 0.0).sum(axis=1)
-                else:
-                    scores += step_logs.sum(axis=1)
-            prev_col = chunk[:, -1]
-            prev_mask = mask[:, -1]
-        if masked:
-            scores = np.where(
-                observed > 0, scores / np.maximum(observed, 1), -np.inf
-            )
-        return scores[self.order]
-
     def evaluate(
         self,
         chain: MarkovChain,
@@ -343,74 +259,50 @@ class StreamingFleetReport:
     ) -> FleetEvaluation:
         """Score a detector per user without materialising the plane.
 
-        The chunked counterpart of :meth:`FleetReport.evaluate`: scores
-        accumulate per chunk through the same prefix-LL recurrences the
-        monolithic detectors evaluate in one shot, tie-breaks consume one
-        draw per user generator in the same order, and tracking is an
-        exact integer count.  Detector support matches the churned-plane
-        path (maximum-likelihood and random-guess detectors); for other
-        detectors, :meth:`materialise` first.
+        The chunked counterpart of :meth:`FleetReport.evaluate`: the
+        Eq. (1) scorer accumulates the plane one stored chunk at a time
+        (scores equal the whole-plane ones up to float summation order),
+        tie-breaks consume one draw per user generator in the same order,
+        and tracking is an exact integer count.  Detector support matches
+        the churned-plane path (maximum-likelihood and random-guess
+        detectors); for other detectors, :meth:`materialise` first.
         """
         if seed is None:
             seed = self.evaluation_seed
-        detect_token = self.recorder.begin("kernel/detect", engine="stream")
-        root = as_seed_sequence(seed)
-        n_users = self.n_users
-        n = self.n_services
-        rngs = [np.random.default_rng(child) for child in root.spawn(n_users)]
-        if isinstance(detector, RandomGuessDetector):
-            chosen = np.array(
-                [int(rng.integers(0, n)) for rng in rngs], dtype=np.int64
+        with self.recorder.span("kernel/detect", engine="stream"):
+            masked = windows_censor(self.svc_windows, self.horizon)
+            chosen = crowd_choices(
+                detector,
+                spawn_generators(seed, self.n_users),
+                self.n_services,
+                lambda: eq1_scores(
+                    chain,
+                    (
+                        (chunk, chunk >= 0 if masked else None)
+                        for _, _, chunk in self.iter_plane_chunks()
+                    ),
+                    transition_stack=self.simulation._stack,
+                ),
+                "a streamed plane chunk by chunk; materialise() the report first",
             )
-        elif isinstance(detector, MaximumLikelihoodDetector):
-            scores = self._score_chunks(chain)
-            candidates = np.flatnonzero(
-                scores >= float(scores.max()) - detector.tolerance
-            )
-            chosen = np.array(
-                [int(rng.choice(candidates)) for rng in rngs], dtype=np.int64
-            )
-        else:
-            raise NotImplementedError(
-                f"detector {detector.name!r} cannot score a streamed plane "
-                "chunk by chunk; materialise() the report first"
-            )
-        # Tracking: exact integer counts accumulated per chunk.
-        masked = self._masked()
-        real_rows_id = np.flatnonzero(self.is_real)
-        row_of_service = np.empty_like(self.order)
-        row_of_service[self.order] = np.arange(n)
-        real_rows = row_of_service[real_rows_id]
-        chosen_id = self.order[chosen]
-        tracked_counts = np.zeros(n_users, dtype=np.int64)
-        window_counts = np.zeros(n_users, dtype=np.int64)
-        user_windows = (
-            self.svc_windows[real_rows_id] if self.svc_windows is not None else None
-        )
-        users_plane = self.store.open_plane("users")
-        for index, chunk in self.store.iter_chunks("histories"):
-            start = index * self.chunk_slots
-            stop = start + chunk.shape[1]
-            user_cols = np.asarray(users_plane[:, start:stop])
-            equal = chunk[chosen_id] == user_cols
-            if masked:
-                slots = np.arange(start, stop)
-                in_window = (user_windows[:, :1] <= slots) & (
-                    slots < user_windows[:, 1:]
+            real_rows_id = np.flatnonzero(self.is_real)
+            user_windows = self.svc_windows[real_rows_id] if masked else None
+            tracked = observed = 0
+            users_plane = self.store.open_plane("users")
+            for start, stop, chunk in self.iter_plane_chunks():
+                chunk_tracked, chunk_observed = tracked_slots(
+                    chunk[chosen],
+                    np.asarray(users_plane[:, start:stop]),
+                    user_windows,
+                    start,
                 )
-                tracked_counts += (equal & in_window).sum(axis=1)
-                window_counts += in_window.sum(axis=1)
-            else:
-                tracked_counts += equal.sum(axis=1)
-        del users_plane
-        if masked:
-            tracking = tracked_counts / window_counts
-        else:
-            tracking = tracked_counts / self.horizon
-        self.recorder.end(detect_token)
+                tracked = tracked + chunk_tracked
+                observed = observed + chunk_observed
+            del users_plane
+        real_rows = np.argsort(self.order)[real_rows_id]
         return FleetEvaluation(
             chosen_rows=chosen,
-            tracking_per_user=tracking,
+            tracking_per_user=tracked / observed,
             detected_per_user=(chosen == real_rows).astype(float),
         )
 

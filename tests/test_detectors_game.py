@@ -71,6 +71,11 @@ class TestMaximumLikelihoodDetector:
         with pytest.raises(ValueError):
             MaximumLikelihoodDetector(tolerance=-1.0)
 
+    def test_crowd_needs_a_generator(self, random_chain, rng):
+        trajectories = random_chain.sample_trajectories(3, 6, rng)
+        with pytest.raises(ValueError, match="at least one generator"):
+            MaximumLikelihoodDetector().detect_crowd(random_chain, trajectories, [])
+
 
 class TestRandomGuessDetector:
     def test_uniform_over_trajectories(self, random_chain):

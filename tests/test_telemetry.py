@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core.eavesdropper import StrategyAwareDetector
 from repro.core.eavesdropper.detector import MaximumLikelihoodDetector
 from repro.core.strategies import get_strategy
 from repro.experiments.registry import run_experiment
@@ -334,6 +335,24 @@ class TestBitIdentity:
         assert "kernel/spill" in names
         assert "kernel/detect" in names
         assert recorder.counters["placement/admitted"] > 0
+
+    def test_refused_stream_evaluation_closes_its_span(self, chain9):
+        recorder = Recorder(clock=FakeClock())
+        streamed = StreamingFleetEngine(
+            _simulation(chain9), chunk_slots=10, recorder=recorder
+        ).run(5)
+        try:
+            with pytest.raises(NotImplementedError):
+                streamed.evaluate(
+                    chain9, StrategyAwareDetector(get_strategy("ML"))
+                )
+        finally:
+            streamed.close()
+        with recorder.span("after"):
+            pass
+        refused, after = recorder.spans[-2:]
+        assert refused["name"] == "kernel/detect" and refused["depth"] == 0
+        assert after["name"] == "after" and after["depth"] == 0
 
 
 class TestResultCacheLatency:
