@@ -11,10 +11,15 @@ flushes each suite to ``BENCH_<suite>.json`` in the telemetry metrics
 schema (``repro-telemetry/1`` — integers become counters, floats become
 gauges, nested mappings flatten with ``/``), so CI archives the CLI's
 ``--metrics-out`` files and the benchmark records in one format.
+
+The batch-vs-loop speed-up gates time the library against the test-only
+oracles in ``tests/reference/``; ``tests/`` goes on ``sys.path`` here so
+they import as ``reference``.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -22,6 +27,10 @@ import pytest
 
 from repro.sim.config import SyntheticExperimentConfig, TraceExperimentConfig
 from repro.telemetry import Recorder, default_clock, write_metrics
+
+_TESTS_DIR = str(Path(__file__).resolve().parent.parent / "tests")
+if _TESTS_DIR not in sys.path:
+    sys.path.insert(0, _TESTS_DIR)
 
 #: Per-suite benchmark records; each non-empty suite flushes to
 #: ``BENCH_<suite>.json`` at session end.

@@ -1,7 +1,8 @@
 """Benchmarks of the adversary subsystem.
 
 The acceptance bar: the vectorised masked crowd scoring must keep a
->= 5x edge over the naive per-decision loop reference at fleet scale
+>= 5x edge over the naive per-decision loop reference (the oracle in
+``tests/reference/``) at fleet scale
 (M = 50 users, T = 100 slots, partial site coverage).  The suite also
 tracks the learned-model fit throughput (censored-plane counting +
 chain refits, the per-episode cost of a learning adversary) and the
@@ -29,6 +30,8 @@ from repro.mobility.models import paper_synthetic_models
 from repro.sim.cache import ResultCache
 from repro.sim.config import AdversaryExperimentConfig
 
+from reference import LoopReferenceAdversaryDetector
+
 
 @pytest.fixture(scope="module")
 def fleet_report():
@@ -53,7 +56,7 @@ def test_masked_crowd_batch_beats_naive_loop(fleet_report):
     chain, report = fleet_report
     coverage = SiteCoverage(0.5, 7)
     fast = AdversaryDetector(OracleKnowledge(), coverage)
-    slow = AdversaryDetector(OracleKnowledge(), coverage, loop_reference=True)
+    slow = LoopReferenceAdversaryDetector(OracleKnowledge(), coverage)
     report.evaluate(chain, fast)  # warm-up: imports, coverage cache
 
     start = time.perf_counter()

@@ -19,6 +19,8 @@ from repro.core.trellis import most_likely_trajectory
 from repro.mobility.models import paper_synthetic_models, random_mobility_model
 from repro.sim.monte_carlo import MonteCarloRunner
 
+from reference import run_game_loop
+
 
 @pytest.fixture(scope="module")
 def chain_small():
@@ -104,11 +106,17 @@ def test_bench_trajectory_sampling(benchmark, chain_small):
 
 
 def _paper_scale_monte_carlo(chain, engine: str, workers: int = 1):
-    """One full paper-scale point: IM (N = 2), 1000 runs, T = 100."""
+    """One full paper-scale point: IM (N = 2), 1000 runs, T = 100.
+
+    ``engine="loop"`` plays it through the looped oracle of
+    ``tests/reference/`` instead of the batch engine.
+    """
     game = PrivacyGame(
         chain, get_strategy("IM"), MaximumLikelihoodDetector(), n_services=2
     )
-    runner = MonteCarloRunner(n_runs=1000, seed=0, engine=engine, workers=workers)
+    if engine == "loop":
+        return run_game_loop(game, n_runs=1000, seed=0, horizon=100)
+    runner = MonteCarloRunner(n_runs=1000, seed=0, workers=workers)
     return runner.run(game, horizon=100)
 
 
@@ -116,9 +124,10 @@ def _paper_scale_monte_carlo(chain, engine: str, workers: int = 1):
 def test_bench_monte_carlo_paper_scale(benchmark, chain_small, engine, bench_record):
     """Full Monte-Carlo point at paper scale (R = 1000, T = 100, L = 10).
 
-    Run with both engines so the batch-vs-loop speedup is visible in one
-    benchmark table; a single round each keeps the suite fast (the looped
-    engine takes on the order of a second per round).
+    Run with the batch engine and the looped oracle so the batch-vs-loop
+    speedup is visible in one benchmark table; a single round each keeps
+    the suite fast (the looped oracle takes on the order of a second per
+    round).
     """
     stats = benchmark.pedantic(
         _paper_scale_monte_carlo, args=(chain_small, engine), rounds=1, iterations=1

@@ -1,7 +1,8 @@
 """Benchmarks of the dynamic-world fleet layer.
 
 The acceptance bar: the masked batch kernel must keep its >= 5x edge over
-the naive loop reference at paper scale (M = 50, T = 100) *with an active
+the naive loop reference (the oracle in ``tests/reference/``) at paper
+scale (M = 50, T = 100) *with an active
 timeline* — regime switches, failures and churn all biting.  The suite
 also tracks the cache-hit latency of the registered ``dynamic``
 experiment.
@@ -20,6 +21,8 @@ from repro.mec.topology import MECTopology
 from repro.mobility.grid import GridTopology
 from repro.mobility.models import paper_synthetic_models
 from repro.world import dynamic_timeline
+
+from reference import run_fleet, run_fleet_loop
 
 
 @pytest.fixture(scope="module")
@@ -47,11 +50,10 @@ def dynamic_simulation():
 
 @pytest.mark.parametrize("engine", ["batch", "loop"])
 def test_bench_dynamic_fleet_paper_scale(benchmark, dynamic_simulation, engine):
-    """One dynamic-world fleet run at paper scale, both engines."""
+    """One dynamic-world fleet run at paper scale, batch and oracle."""
     report = benchmark.pedantic(
-        dynamic_simulation.run,
-        args=(0,),
-        kwargs={"engine": engine},
+        run_fleet,
+        args=(dynamic_simulation, 0, engine),
         rounds=1,
         iterations=1,
     )
@@ -62,7 +64,7 @@ def test_bench_dynamic_fleet_paper_scale(benchmark, dynamic_simulation, engine):
 def test_dynamic_masked_batch_beats_naive_loop(dynamic_simulation):
     """The acceptance bar: masked batch >= 5x the loop with a live world.
 
-    Both engines stay bit-identical under any timeline (pinned by
+    Batch and the oracle stay bit-identical under any timeline (pinned by
     ``tests/test_dynamic_world.py``), so the ratio is pure execution
     speed of the masked kernels.
     """
@@ -74,7 +76,7 @@ def test_dynamic_masked_batch_beats_naive_loop(dynamic_simulation):
     batch_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    loop = simulation.run(0, engine="loop")
+    loop = run_fleet_loop(simulation, 0)
     loop_seconds = time.perf_counter() - start
 
     assert np.array_equal(

@@ -1,9 +1,9 @@
 """Benchmarks of the multi-user fleet layer.
 
 The headline number is the vectorised slot loop against the naive
-per-user/per-service Python walk at paper scale (M = 50 users, T = 100
-slots on a capacity-constrained 5x5 grid) — the two engines are
-bit-identical, so the ratio is pure execution speed.  The suite also
+per-user/per-service Python walk (the oracle in ``tests/reference/``) at
+paper scale (M = 50 users, T = 100 slots on a capacity-constrained 5x5
+grid) — the two are bit-identical, so the ratio is pure execution speed.  The suite also
 tracks slot-loop throughput as the population grows and the cache-hit
 latency of the registered ``fleet`` experiment.
 """
@@ -20,6 +20,8 @@ from repro.mec.fleet import FleetSimulation, FleetSimulationConfig
 from repro.mec.topology import MECTopology
 from repro.mobility.grid import GridTopology
 from repro.mobility.models import paper_synthetic_models
+
+from reference import run_fleet, run_fleet_loop
 
 
 @pytest.fixture(scope="module")
@@ -39,15 +41,16 @@ def _fleet_simulation(chain, n_users: int, horizon: int = 100) -> FleetSimulatio
 
 @pytest.mark.parametrize("engine", ["batch", "loop"])
 def test_bench_fleet_paper_scale(benchmark, fleet_chain, engine):
-    """One fleet run at paper scale (M = 50, T = 100), both engines.
+    """One fleet run at paper scale (M = 50, T = 100), batch and oracle.
 
-    Run with both engines so the vectorised-vs-naive speedup is visible
-    in one benchmark table (the loop engine takes on the order of a
-    second per round, so a single round keeps the smoke fast).
+    Run with the batch engine and the looped oracle so the
+    vectorised-vs-naive speedup is visible in one benchmark table (the
+    oracle takes on the order of a second per round, so a single round
+    keeps the smoke fast).
     """
     simulation = _fleet_simulation(fleet_chain, n_users=50)
     report = benchmark.pedantic(
-        simulation.run, args=(0,), kwargs={"engine": engine}, rounds=1, iterations=1
+        run_fleet, args=(simulation, 0, engine), rounds=1, iterations=1
     )
     assert report.n_users == 50
     assert report.horizon == 100
@@ -66,7 +69,7 @@ def test_bench_fleet_throughput_vs_population(benchmark, fleet_chain, n_users):
 def test_fleet_vectorized_beats_naive_loop(fleet_chain, bench_record):
     """The acceptance bar: batch >= 5x faster than the naive loop at M = 50.
 
-    Both engines produce bit-identical reports (pinned by
+    Batch and the oracle produce bit-identical reports (pinned by
     ``tests/test_fleet.py``), so this is a pure wall-clock comparison.
     The margin is large in practice (the loop walks 100 services through
     Python objects every slot); 5x keeps the assert robust on noisy CI.
@@ -79,7 +82,7 @@ def test_fleet_vectorized_beats_naive_loop(fleet_chain, bench_record):
     batch_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    loop = simulation.run(0, engine="loop")
+    loop = run_fleet_loop(simulation, 0)
     loop_seconds = time.perf_counter() - start
 
     assert np.array_equal(

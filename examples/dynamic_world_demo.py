@@ -5,7 +5,7 @@ Builds a :class:`~repro.world.timeline.Timeline` three ways — by hand
 (explicit events), from the scenario generators, and compares a frozen
 world against a stormy one: mobility regimes rotating every 25 slots,
 edge sites failing and recovering as a Poisson process, and a fifth of
-the users arriving/departing mid-episode.  The fleet's batch and loop
+the users arriving/departing mid-episode.  The fleet's batch and stream
 engines produce bit-identical results under any timeline; the demo runs
 the batch engine and reports how the live world moves privacy (per-user
 detection against the crowd) and cost.

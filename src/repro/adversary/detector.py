@@ -22,9 +22,9 @@ each row's average log-likelihood per *visible* slot, with transition
 terms only across contiguously visible steps — the fleet's churned-plane
 rule, generalised to arbitrary masks.
 
-``loop_reference=True`` scores with a naive per-row Python reference
-instead; the two are bit-identical, and the reference is the test
-oracle of the vectorised scorer.
+A naive per-row Python scorer, kept with the tests in
+``tests/reference/``, is the oracle this vectorised path is checked
+against.
 """
 
 from __future__ import annotations
@@ -40,11 +40,9 @@ from ..core.eavesdropper.detector import (
     _decide_runs,
     _validate_batch,
     _validate_plane,
-    trajectory_log_likelihoods,
 )
 from ..core.eavesdropper.scoring import eq1_decide, eq1_scores
 from ..mobility.markov import MarkovChain
-from ..numerics import safe_log
 from .coverage import CoverageModel, FullCoverage
 from .knowledge import KnowledgeModel, OracleKnowledge
 from .score_cache import ScoreComponentCache
@@ -67,10 +65,6 @@ class AdversaryDetector(TrajectoryDetector):
     tolerance:
         Log-likelihood tolerance for tie breaking (applied to the
         per-observed-slot *rates* on censored planes).
-    loop_reference:
-        Score with the naive per-row Python reference instead of the
-        vectorised scorer.  Bit-identical; exists for the equivalence
-        tests and the speedup benchmark.
     score_cache:
         Optional :class:`~repro.adversary.score_cache.ScoreComponentCache`
         memoising the per-(chain, stack, plane) gather tables a score is
@@ -78,7 +72,7 @@ class AdversaryDetector(TrajectoryDetector):
         knowledge x coverage grid and every plane's tables are built
         once; scores stay bit-identical to uncached scoring (the tables
         are coverage-independent, and the mask is applied after the
-        lookup).  Ignored on the ``loop_reference`` path.
+        lookup).
     """
 
     name = "adversary"
@@ -92,7 +86,6 @@ class AdversaryDetector(TrajectoryDetector):
         coverage: CoverageModel | None = None,
         *,
         tolerance: float = 1e-9,
-        loop_reference: bool = False,
         score_cache: ScoreComponentCache | None = None,
     ) -> None:
         if tolerance < 0:
@@ -100,7 +93,6 @@ class AdversaryDetector(TrajectoryDetector):
         self.knowledge = knowledge if knowledge is not None else OracleKnowledge()
         self.coverage = coverage if coverage is not None else FullCoverage()
         self.tolerance = tolerance
-        self.loop_reference = bool(loop_reference)
         self.score_cache = score_cache
         self.name = f"adversary[{self.knowledge.name}/{self.coverage.name}]"
 
@@ -121,50 +113,9 @@ class AdversaryDetector(TrajectoryDetector):
         :attr:`score_cache`: plain Eq. (1) log-likelihoods where
         everything is visible, per-observed-slot rates elsewhere.
         """
-        if self.loop_reference:
-            censored = np.where(mask, observed, -1)
-            if mask.all():
-                return np.array(
-                    [
-                        trajectory_log_likelihoods(chain, censored[row : row + 1], stack)[0]
-                        for row in range(censored.shape[0])
-                    ],
-                    dtype=float,
-                )
-            return np.array(
-                [
-                    self._masked_row_score(chain, stack, censored[row], mask[row])
-                    for row in range(censored.shape[0])
-                ],
-                dtype=float,
-            )
         return eq1_scores(
             chain, [(observed, mask)], transition_stack=stack, cache=self.score_cache
         )
-
-    @staticmethod
-    def _masked_row_score(
-        chain: MarkovChain,
-        stack: np.ndarray | None,
-        row: np.ndarray,
-        row_mask: np.ndarray,
-    ) -> float:
-        """Naive single-row reference of the masked per-observed-slot rate."""
-        observed = row_mask.sum()
-        if observed == 0:
-            return -np.inf
-        first = int(np.argmax(row_mask))
-        score = float(chain.log_stationary[row[first]])
-        if row.size > 1:
-            prev = np.clip(row[:-1], 0, None)
-            nxt = np.clip(row[1:], 0, None)
-            if stack is None:
-                step_logs = chain.log_transition_entries(prev, nxt)
-            else:
-                step_logs = safe_log(stack)[np.arange(row.size - 1), prev, nxt]
-            valid = row_mask[1:] & row_mask[:-1]
-            score = score + np.where(valid, step_logs, 0.0).sum()
-        return score / observed
 
     def _prepare(
         self, chain: MarkovChain, observed: np.ndarray
@@ -208,13 +159,13 @@ class AdversaryDetector(TrajectoryDetector):
     ) -> BatchDetectionOutcome:
         """Score a whole ``(R, N, T)`` batch.
 
-        Each run is one episode: stateful knowledge (and the loop
-        reference) runs the scalar :meth:`detect` run by run, so run
-        ``r``'s plane is observed before it is scored and batched and
-        looped execution stay bit-identical even while the adversary is
-        learning.  Stateless knowledge is scored in one vectorised shot.
+        Each run is one episode: stateful knowledge runs the scalar
+        :meth:`detect` run by run, so run ``r``'s plane is observed
+        before it is scored and batched and looped execution stay
+        bit-identical even while the adversary is learning.  Stateless
+        knowledge is scored in one vectorised shot.
         """
-        if self.knowledge.stateful or self.loop_reference:
+        if self.knowledge.stateful:
             return super().detect_batch(
                 chain, trajectories, rngs, transition_stack=transition_stack
             )
@@ -246,19 +197,5 @@ class AdversaryDetector(TrajectoryDetector):
         model_chain, model_stack = self.knowledge.scoring_model(
             chain, transition_stack
         )
-        rngs = list(rngs)
-        if self.loop_reference and rngs:
-            # Naive reference: re-score the crowd for every decision (the
-            # broadcast semantics of the base class), same draws.
-            return np.concatenate(
-                [
-                    eq1_decide(
-                        self._scores(model_chain, model_stack, observed, mask),
-                        [rng],
-                        self.tolerance,
-                    )[0]
-                    for rng in rngs
-                ]
-            )
         scores = self._scores(model_chain, model_stack, observed, mask)
-        return eq1_decide(scores, rngs, self.tolerance)[0]
+        return eq1_decide(scores, list(rngs), self.tolerance)[0]

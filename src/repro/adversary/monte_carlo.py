@@ -47,10 +47,6 @@ def _report_shard_worker(task) -> list[FleetReport]:
     seed, start, stop, engine, chunk_slots, regions, run_stack = task
     simulation: FleetSimulation = get_shared()
     children = spawn_sequences_range(seed, start, stop)
-    if engine == "loop":
-        # The per-service reference has no stacked form; run_stack is
-        # execution-only, so playing it episode by episode changes nothing.
-        return [simulation.run(child, engine="loop") for child in children]
     reports: list[FleetReport] = []
     for base in range(0, len(children), run_stack):
         reports.extend(
@@ -79,12 +75,13 @@ def simulate_fleet_reports(
 
     Run ``k`` derives from child ``k`` of ``seed`` regardless of the
     worker count, so the list is bit-identical for any ``workers``
-    (``0`` = all cores).  ``chunk_slots`` and ``regions`` reach the
-    streaming engine exactly as in :meth:`FleetSimulation.run`;
-    ``run_stack`` folds that many runs of each shard into one pass of
-    the slot kernel (:func:`repro.mec.runstack.run_stacked`).  All three
-    are execution-only: the report list is bit-identical for every
-    setting.  They are validated here, before any worker starts.
+    (``0`` = all cores).  ``engine`` (``"batch"`` or ``"stream"``),
+    ``chunk_slots`` and ``regions`` reach the slot kernel exactly as in
+    :meth:`FleetSimulation.run`; ``run_stack`` folds that many runs of
+    each shard into one pass of it
+    (:func:`repro.mec.runstack.run_stacked`).  All of them are
+    execution-only: the report list is bit-identical for every setting.
+    They are validated here, before any worker starts.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be positive")

@@ -90,12 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument("--seed", type=int, default=2017, help="master seed")
     run_parser.add_argument(
-        "--engine",
-        choices=("batch", "loop"),
-        default="batch",
-        help="Monte-Carlo execution engine (identical results, batch is faster)",
-    )
-    run_parser.add_argument(
         "--workers",
         type=int,
         default=1,
@@ -179,12 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--horizon", type=int, default=100, help="slots per run"
     )
     fleet_parser.add_argument("--seed", type=int, default=2017, help="master seed")
-    fleet_parser.add_argument(
-        "--engine",
-        choices=("batch", "loop"),
-        default="batch",
-        help="fleet execution engine (identical results, batch is faster)",
-    )
     fleet_parser.add_argument(
         "--workers",
         type=int,
@@ -323,7 +311,6 @@ def _csv(value: "str | None", cast):
 
 def _build_config(args: argparse.Namespace, experiment_id: str):
     """Construct the appropriate config object for the chosen experiment."""
-    engine = getattr(args, "engine", "batch")
     workers = getattr(args, "workers", 1)
     backend = getattr(args, "backend", "dense")
     if experiment_id == "adversary":
@@ -344,7 +331,6 @@ def _build_config(args: argparse.Namespace, experiment_id: str):
             coverage_fractions=fractions or defaults.coverage_fractions,
             coalition_sizes=sizes or defaults.coalition_sizes,
             seed=args.seed,
-            engine=engine,
             workers=workers,
             run_stack=_flag(args, "run_stack", defaults.run_stack),
         )
@@ -376,7 +362,6 @@ def _build_config(args: argparse.Namespace, experiment_id: str):
                 args, "churn_rate", 0.0 if from_fleet else defaults.churn_rate
             ),
             seed=args.seed,
-            engine=engine,
             workers=workers,
         )
     if experiment_id == "fleet":
@@ -392,7 +377,6 @@ def _build_config(args: argparse.Namespace, experiment_id: str):
             n_chaffs=_flag(args, "chaffs", 1),
             strategy=_flag(args, "strategy", "IM"),
             seed=args.seed,
-            engine=engine,
             workers=workers,
             backend=backend,
             stream=_flag(args, "stream", False),
@@ -401,7 +385,7 @@ def _build_config(args: argparse.Namespace, experiment_id: str):
             run_stack=_flag(args, "run_stack", 1),
         )
     if experiment_id in _TRACE_EXPERIMENTS:
-        config = TraceExperimentConfig(seed=args.seed, engine=engine, workers=workers)
+        config = TraceExperimentConfig(seed=args.seed, workers=workers)
         return config.scaled(
             n_nodes=args.nodes, n_towers=args.towers, horizon=args.horizon
         )
@@ -410,7 +394,6 @@ def _build_config(args: argparse.Namespace, experiment_id: str):
         n_cells=args.cells if args.cells is not None else 10,
         n_runs=args.runs if args.runs is not None else 1000,
         horizon=args.horizon if args.horizon is not None else 100,
-        engine=engine,
         workers=workers,
         backend=backend,
     )

@@ -16,7 +16,7 @@ runner's first-parameter annotation, default-constructed, and required to
 2. survive ``to_dict -> canonical JSON -> from_dict -> to_dict`` with an
    identical canonical form and an identical cache key;
 3. keep its cache key invariant when any ``EXECUTION_ONLY_KEYS`` field
-   (``engine``, ``workers``, ``stream``, …) is perturbed — execution
+   (``workers``, ``stream``, ``run_stack``, …) is perturbed — execution
    knobs select *how* a result is computed, never *what* it is.
 """
 
@@ -110,7 +110,7 @@ def _check_one(experiment_id: str, cls: type) -> Iterator[Finding]:
     if experiment_cache_key(experiment_id, second) != key:
         yield fail("cache key changes across a config round trip")
         return
-    # Execution-only knobs (engine, workers, stream, ...) change *how* a
+    # Execution-only knobs (workers, stream, run_stack, ...) change *how* a
     # result is computed, never *what* it is — so none of them may reach
     # the cache key.  Probe each one with a sentinel value the config could
     # never legitimately carry.

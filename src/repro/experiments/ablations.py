@@ -57,11 +57,11 @@ __all__ = [
 
 def _monte_carlo_point(task):
     """One (chain, strategy, N) Monte-Carlo point; module-level for pools."""
-    chain, strategy, n_services, n_runs, horizon, child, engine = task
+    chain, strategy, n_services, n_runs, horizon, child = task
     game = PrivacyGame(
         chain, strategy, MaximumLikelihoodDetector(), n_services=n_services
     )
-    runner = MonteCarloRunner(n_runs=n_runs, seed=child, engine=engine)
+    runner = MonteCarloRunner(n_runs=n_runs, seed=child)
     stats = runner.run(game, horizon=horizon)
     return stats
 
@@ -94,7 +94,6 @@ def run_chaff_budget_sweep(
                     config.n_runs,
                     config.horizon,
                     child,
-                    config.engine,
                 )
             )
     all_stats = parallel_map(_monte_carlo_point, tasks, workers=config.workers)
@@ -308,7 +307,7 @@ def run_rollout_vs_myopic(
         for strategy_index, (_, strategy) in enumerate(strategy_items):
             child = children[model_index * len(strategy_items) + strategy_index]
             tasks.append(
-                (chain, strategy, 2, runs, config.horizon, child, config.engine)
+                (chain, strategy, 2, runs, config.horizon, child)
             )
     all_stats = parallel_map(_monte_carlo_point, tasks, workers=config.workers)
     groups: dict[str, list[SeriesResult]] = {}

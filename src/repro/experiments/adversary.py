@@ -20,7 +20,7 @@ reports are simulated once — sharded over ``config.workers``
 bit-identically — and every grid point is a deterministic, serial
 replay (learning adversaries accumulate their model episode over
 episode in run order).  The whole result is a pure function of the
-config: cacheable, engine- and worker-count invariant.
+config: cacheable, and invariant to the worker count and run stack.
 """
 
 from __future__ import annotations
@@ -126,7 +126,6 @@ def run_adversary_experiment(
         n_runs=config.n_runs,
         seed=run_seed,
         workers=config.workers,
-        engine=config.engine,
         run_stack=config.run_stack,
     )
     score_cache = ScoreComponentCache()

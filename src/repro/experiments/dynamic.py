@@ -76,7 +76,6 @@ def _dynamic_point(task) -> dict[str, float]:
         seed=child,
         detector=MaximumLikelihoodDetector(),
         workers=workers,
-        engine=config.engine,
     )
     return {
         "detection": statistics.mean_detection,

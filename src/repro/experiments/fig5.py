@@ -54,7 +54,6 @@ def run_fig5(config: SyntheticExperimentConfig | None = None) -> ExperimentResul
             n_runs=config.n_runs,
             seed=model_child,
             model_label=label,
-            engine=config.engine,
             workers=config.workers,
         )
         groups[label] = sweep.series()

@@ -66,7 +66,6 @@ def run_fig7(
                     model_index * len(FIG7_STRATEGIES) + strategy_index
                 ],
                 model_label=label,
-                engine=config.engine,
                 workers=config.workers,
             )
             stats = sweep.statistics[series_label]

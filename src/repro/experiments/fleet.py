@@ -159,7 +159,7 @@ def run_fleet_experiment(
                 config.strategy,
                 config.n_runs,
                 children[index],
-                "stream" if config.stream else config.engine,
+                "stream" if config.stream else "batch",
                 point_workers,
                 config.chunk_slots,
                 config.regions,
@@ -179,7 +179,7 @@ def run_fleet_experiment(
                 config.strategy,
                 config.n_runs,
                 children[len(populations) + index],
-                "stream" if config.stream else config.engine,
+                "stream" if config.stream else "batch",
                 point_workers,
                 config.chunk_slots,
                 config.regions,

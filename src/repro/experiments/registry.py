@@ -99,9 +99,9 @@ def run_experiment(
         Optional result cache — a :class:`~repro.sim.cache.ResultCache`
         or a directory path.  On a key hit the stored result is returned
         without running anything; on a miss the experiment runs and its
-        result is stored.  Execution-only config fields (``engine``,
-        ``workers``) are excluded from the key, so cached results are
-        shared across serial and parallel invocations.
+        result is stored.  Execution-only config fields (``workers``,
+        ``stream``, ``run_stack``, ...) are excluded from the key, so
+        cached results are shared across serial and parallel invocations.
     recorder:
         Optional :class:`~repro.telemetry.Recorder`.  The whole
         invocation runs under an ``experiment/<id>`` span, cache

@@ -18,15 +18,15 @@ regime:
 * per-user :class:`~repro.mec.costs.CostLedger`\\ s keep the cost-privacy
   trade-off attributable to individual users.
 
-The engines produce bit-identical results for the same seed.
-``"batch"`` (default) and ``"stream"`` are a stack of one run of
+The two engines, ``"batch"`` (default) and ``"stream"``, produce
+bit-identical results for the same seed.  Both are a stack of one run of
 :func:`repro.mec.runstack.run_stacked`, the one in-memory driver: it
 samples through the batched APIs (:meth:`ChaffStrategy.generate_batch`,
 :meth:`MarkovChain.evolve_from_uniforms`) and advances
 :class:`_FleetSlotKernel` through its single slot loop,
-:meth:`_FleetSlotKernel.advance`.  ``"loop"`` replays the naive
-per-user/per-service Python walk and serves as the independent
-reference for the equivalence tests and the speedup benchmark.
+:meth:`_FleetSlotKernel.advance`.  The naive per-user/per-service Python
+walk that the equivalence tests and the speedup benchmarks compare
+against lives with the tests, in ``tests/reference/``.
 
 All randomness of one run derives from a single
 :class:`~numpy.random.SeedSequence` (children spawned per user, for the
@@ -89,7 +89,7 @@ __all__ = [
 ]
 
 #: Engines accepted by :meth:`FleetSimulation.run`.
-FLEET_ENGINES = ("batch", "loop", "stream")
+FLEET_ENGINES = ("batch", "stream")
 
 #: Target element budget of one bounded sampling block (users x horizon x
 #: services-per-user); blocks shrink as the horizon grows, keeping the
@@ -785,15 +785,10 @@ class FleetSimulation:
         one through :meth:`run_stacked`: batch advances the whole horizon
         as one window, stream advances ``chunk_slots``-sized windows with
         bounded sampling blocks, optionally sharding placement over
-        ``regions`` topology regions (``region_workers`` threads).
-        ``engine="loop"`` is the naive per-service Python reference.  All
-        three are bit-identical for the same ``seed`` — the streaming
-        knobs change execution, never results.
+        ``regions`` topology regions (``region_workers`` threads).  Both
+        are bit-identical for the same ``seed`` — the streaming knobs
+        change execution, never results.
         """
-        if engine not in FLEET_ENGINES:
-            raise ValueError(f"engine must be one of {FLEET_ENGINES}, got {engine!r}")
-        if engine == "loop":
-            return self._run_loop(*self._episode_streams(seed), recorder=recorder)
         return self.run_stacked(
             [seed],
             engine=engine,
@@ -821,9 +816,7 @@ class FleetSimulation:
         from that run's own SeedSequence children in the canonical
         order, so the resulting :class:`StackedRunOutcome` is
         bit-identical to running each seed through :meth:`run`.
-        ``engine`` accepts ``"batch"`` and ``"stream"`` (the per-service
-        ``"loop"`` reference has no stacked form; Monte-Carlo callers
-        run it episode by episode).
+        ``engine`` accepts ``"batch"`` and ``"stream"``.
         """
         # Deferred import: the run-stacked engine builds on this module.
         from .runstack import run_stacked as _run_stacked
@@ -1067,153 +1060,6 @@ class FleetSimulation:
             transition_stack=self._stack,
         )
 
-    # ------------------------------------------------------------------
-    # Loop engine: naive per-service reference path
-    # ------------------------------------------------------------------
-    def _run_loop(
-        self,
-        user_rngs: list[np.random.Generator],
-        shuffle_rng: np.random.Generator,
-        evaluation_seed: np.random.SeedSequence,
-        recorder=NULL_RECORDER,
-    ) -> FleetReport:
-        config = self.config
-        n_users, horizon = config.n_users, config.horizon
-        budgets = config.chaffs_per_user()
-        owners, is_real, service_ids = self._service_layout(budgets)
-        n_services = owners.size
-        model = self.cost_model
-
-        users = np.empty((n_users, horizon), dtype=np.int64)
-        plans = np.empty((n_services, horizon), dtype=np.int64)
-        real_row_of_user = np.flatnonzero(is_real)
-        sample_span = recorder.span("kernel/sample", engine="loop", users=n_users)
-        with sample_span:
-            for user, rng in enumerate(user_rngs):
-                if config.start_cells is not None:
-                    users[user] = self.chain.sample_trajectory(
-                        horizon,
-                        rng,
-                        initial_state=int(config.start_cells[user]),
-                        transition_stack=self._stack,
-                    )
-                else:
-                    users[user] = self.chain.sample_trajectory(
-                        horizon, rng, transition_stack=self._stack
-                    )
-                budget = budgets[user]
-                if budget > 0:
-                    first = real_row_of_user[user] + 1
-                    plans[first : first + budget] = self.strategies[user].generate(
-                        self.chain, users[user], budget, rng
-                    )
-            plans[real_row_of_user] = users
-
-        schedule = self._schedule
-        placement = PlacementEngine(self.topology)
-        service_migrations = np.zeros(n_services, dtype=np.int64)
-        ledgers = [CostLedger() for _ in range(n_users)]
-        svc_windows: np.ndarray | None = None
-        placement_token = recorder.begin(
-            "kernel/placement", engine="loop", slots=horizon
-        )
-        if schedule is None:
-            cells = np.empty(n_services, dtype=np.int64)
-            for row in range(n_services):
-                cells[row] = placement.place_initial(plans[row : row + 1, 0])[0]
-            histories = np.empty((n_services, horizon), dtype=np.int64)
-        else:
-            caps = schedule.capacities
-            active_u = schedule.active_users()
-            active_svc = active_u[owners]
-            svc_windows = schedule.user_windows[owners]
-            placement.set_capacities(caps[0])
-            cells = np.full(n_services, -1, dtype=np.int64)
-            for row in range(n_services):
-                if active_svc[row, 0]:
-                    cells[row] = placement.place_initial(plans[row : row + 1, 0])[0]
-            histories = np.full((n_services, horizon), -1, dtype=np.int64)
-        for slot in range(horizon):
-            if schedule is not None and slot > 0:
-                # World transitions, one naive walk per phase: departures
-                # free slots, then the new capacity view evicts, then
-                # arrivals are admitted — same order as the batch kernel.
-                for row in range(n_services):
-                    if active_svc[row, slot - 1] and not active_svc[row, slot]:
-                        placement.release(cells[row : row + 1])
-                        cells[row] = -1
-                if not np.array_equal(caps[slot], caps[slot - 1]):
-                    placement.set_capacities(caps[slot])
-                    new_cells, moved = placement.evict_overloaded(
-                        cells, active_svc[:, slot - 1] & active_svc[:, slot]
-                    )
-                    for row in moved:
-                        row = int(row)
-                        ledger = ledgers[int(owners[row])]
-                        ledger.count_migration()
-                        ledger.charge_migration(
-                            model.migration_cost(
-                                self.topology, int(cells[row]), int(new_cells[row])
-                            )
-                        )
-                        service_migrations[row] += 1
-                    cells = new_cells
-                for row in range(n_services):
-                    if active_svc[row, slot] and not active_svc[row, slot - 1]:
-                        cells[row] = placement.admit_arrivals(
-                            plans[row : row + 1, slot]
-                        )[0]
-            for row in range(n_services):
-                if schedule is not None and not active_svc[row, slot]:
-                    continue
-                owner = int(owners[row])
-                ledger = ledgers[owner]
-                user_cell = int(users[owner, slot])
-                if is_real[row]:
-                    target = self.policy.decide(
-                        self.topology, int(cells[row]), user_cell
-                    )
-                else:
-                    target = int(plans[row, slot])
-                placed = placement.resolve_moves(
-                    cells[row : row + 1], np.array([target], dtype=np.int64)
-                )[0]
-                if placed != cells[row]:
-                    ledger.count_migration()
-                    ledger.charge_migration(
-                        model.migration_cost(
-                            self.topology, int(cells[row]), int(placed)
-                        )
-                    )
-                    service_migrations[row] += 1
-                    cells[row] = placed
-                if is_real[row]:
-                    ledger.charge_communication(
-                        model.communication_cost(
-                            self.topology, user_cell, int(cells[row])
-                        )
-                    )
-                else:
-                    ledger.charge_chaff(model.chaff_running_cost)
-                histories[row, slot] = cells[row]
-            for ledger in ledgers:
-                ledger.close_slot()
-        recorder.end(placement_token)
-        recorder.record_stats("placement", placement.stats.as_dict())
-        return self._build_report(
-            users,
-            histories,
-            owners,
-            is_real,
-            service_ids,
-            service_migrations,
-            ledgers,
-            placement.stats,
-            evaluation_seed,
-            svc_windows,
-            self._presentation_order(shuffle_rng, n_services),
-        )
-
 
 # ----------------------------------------------------------------------
 # Fleet Monte-Carlo: run sharding through the parallel layer
@@ -1379,26 +1225,19 @@ def _fleet_shard_worker(task) -> "tuple[list[tuple], dict | None]":
     metrics = []
     children = spawn_sequences_range(seed, start, stop)
     shard_token = recorder.begin("shard", start=start, stop=stop, engine=engine)
-    if engine == "loop":
-        # The per-service reference has no stacked form; run_stack is
-        # execution-only, so playing it episode by episode changes nothing.
-        for child in children:
-            report = simulation.run(child, engine="loop", recorder=recorder)
-            metrics.append(_episode_metrics(simulation, report, detector, recorder))
-    else:
-        # Vectorised scoring reads the kernel's running cost totals, so
-        # the per-(user, slot) ledger plane is dead weight there — skip it.
-        collect = not supports_fast_metrics(detector)
-        for base in range(0, len(children), run_stack):
-            outcome = simulation.run_stacked(
-                children[base : base + run_stack],
-                engine=engine,
-                chunk_slots=chunk_slots,
-                regions=regions,
-                collect_per_slot=collect,
-                recorder=recorder,
-            )
-            metrics.extend(outcome.to_metrics(detector, recorder=recorder))
+    # Vectorised scoring reads the kernel's running cost totals, so the
+    # per-(user, slot) ledger plane is dead weight there — skip it.
+    collect = not supports_fast_metrics(detector)
+    for base in range(0, len(children), run_stack):
+        outcome = simulation.run_stacked(
+            children[base : base + run_stack],
+            engine=engine,
+            chunk_slots=chunk_slots,
+            regions=regions,
+            collect_per_slot=collect,
+            recorder=recorder,
+        )
+        metrics.extend(outcome.to_metrics(detector, recorder=recorder))
     recorder.end(shard_token)
     recorder.counter("montecarlo/episodes", stop - start)
     return metrics, (recorder.to_state() if spec is not None else None)
@@ -1425,9 +1264,10 @@ def run_fleet_monte_carlo(
     serial execution for any ``N`` (``0`` = all cores).  ``chunk_slots``
     and ``regions`` only apply to ``engine="stream"``; ``run_stack``
     folds that many episodes of a shard into one pass of the slot
-    kernel (:meth:`FleetSimulation.run_stacked`).  Like the engine and
-    worker count, none of these execution knobs ever change the numbers;
-    all of them are validated here, before any worker starts.
+    kernel (:meth:`FleetSimulation.run_stacked`).  Like the engine
+    (``"batch"`` or ``"stream"``) and the worker count, none of these
+    execution knobs ever change the numbers; all of them are validated
+    here, before any worker starts.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be positive")

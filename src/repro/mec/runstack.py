@@ -61,6 +61,7 @@ from ..sim.seeding import spawn_generators
 from ..telemetry import NULL_RECORDER
 from .costs import CostLedger
 from .fleet import (
+    FLEET_ENGINES,
     FleetReport,
     FleetSimulation,
     _episode_metrics,
@@ -82,9 +83,6 @@ def supports_fast_metrics(detector: "TrajectoryDetector") -> bool:
     override ``detect_crowd`` and must take the report fallback.
     """
     return type(detector) in (MaximumLikelihoodDetector, RandomGuessDetector)
-
-#: Engines with a stacked form (the per-service "loop" reference has none).
-STACKED_ENGINES = ("batch", "stream")
 
 
 class _StackedPlacement:
@@ -551,10 +549,8 @@ def run_stacked(
     :meth:`StackedRunOutcome.to_metrics`'s fast path can drop the
     ``(S·M, T)`` ledger plane entirely.
     """
-    if engine not in STACKED_ENGINES:
-        raise ValueError(
-            f"engine must be one of {STACKED_ENGINES}, got {engine!r}"
-        )
+    if engine not in FLEET_ENGINES:
+        raise ValueError(f"engine must be one of {FLEET_ENGINES}, got {engine!r}")
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed to stack")

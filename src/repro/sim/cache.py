@@ -12,9 +12,9 @@ Keying rules:
 * the configuration enters the key as its canonical JSON form (sorted
   keys, no whitespace);
 * execution-only settings that are proven not to affect the numbers —
-  the ``engine`` choice, the ``workers`` count, the chain storage
-  ``backend`` and the streaming knobs (``stream`` / ``chunk_slots`` /
-  ``regions``), all bit-identical by construction — are stripped first,
+  the ``workers`` count, the chain storage ``backend``, the streaming
+  knobs (``stream`` / ``chunk_slots`` / ``regions``) and ``run_stack``,
+  all bit-identical by construction — are stripped first,
   so a cached serial result satisfies a parallel re-run and vice versa;
 * the package version is included, so upgrading the code invalidates
   every stale entry at once;
@@ -53,12 +53,11 @@ __all__ = [
 ]
 
 #: Config keys that change how an experiment executes but never what it
-#: computes (pinned by the engine/worker/backend/streaming equivalence
+#: computes (pinned by the worker/backend/streaming/run-stack equivalence
 #: test suites).  The RPL006 contract check probes every one of these
 #: against every registered experiment config, so a key listed here can
 #: never leak back into a cache key.
 EXECUTION_ONLY_KEYS = (
-    "engine",
     "workers",
     "backend",
     "stream",

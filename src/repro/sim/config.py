@@ -4,12 +4,23 @@ Configs are plain dataclasses that can round-trip through dictionaries /
 JSON so experiment definitions can be stored alongside their results and
 re-run exactly (the Monte-Carlo harness derives all randomness from the
 ``seed`` field).
+
+Every config is validated when it is constructed: an infeasible shape
+or an unknown strategy / mobility-model name raises ``ValueError``
+naming the field, instead of failing deep inside a (possibly pooled)
+run.  Execution knobs (``workers``, ``backend``, ``stream``,
+``run_stack``, ...) never change the numbers; the looped references the
+equivalence tests compare the engines against are test-only oracles in
+``tests/reference/``.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Any, Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Any, Iterable, Sequence
+
+from ..core.strategies import available_strategies
+from ..mobility.models import SYNTHETIC_MODEL_BUILDERS
 
 __all__ = [
     "SyntheticExperimentConfig",
@@ -19,8 +30,35 @@ __all__ = [
     "AdversaryExperimentConfig",
 ]
 
-#: Strategy names evaluated in the paper's synthetic figures.
-_DEFAULT_STRATEGIES = ("IM", "ML", "OO", "MO", "CML")
+
+def _check_strategies(field_name: str, names: Iterable[str]) -> None:
+    """Reject strategy names the registry cannot build (case-insensitive)."""
+    available = available_strategies()
+    for name in names:
+        if str(name).upper() not in available:
+            raise ValueError(
+                f"{field_name}: unknown strategy {name!r}; available: {available}"
+            )
+
+
+def _check_mobility_models(field_name: str, names: Iterable[str]) -> None:
+    """Reject mobility-model keys :func:`paper_synthetic_models` lacks."""
+    for name in names:
+        if name not in SYNTHETIC_MODEL_BUILDERS:
+            raise ValueError(
+                f"{field_name}: unknown mobility model {name!r}; "
+                f"available: {sorted(SYNTHETIC_MODEL_BUILDERS)}"
+            )
+
+
+def _given(**overrides: Any) -> dict[str, Any]:
+    """The ``scaled`` overrides actually supplied (``None`` keeps a field)."""
+    return {name: value for name, value in overrides.items() if value is not None}
+
+
+def _clamped_period(period: "int | None", horizon: int) -> "int | None":
+    """A regime period that still rotates at least once within ``horizon``."""
+    return None if period is None else max(2, min(period, horizon // 2))
 
 
 @dataclass(frozen=True)
@@ -37,15 +75,10 @@ class SyntheticExperimentConfig:
         Monte-Carlo runs per data point (paper: 1000).
     n_services:
         Total trajectories ``N`` (user + chaffs) for single-setting plots.
-    strategies:
-        Strategy names to evaluate.
     mobility_models:
         Mobility-model labels (keys of ``paper_synthetic_models``).
     seed:
         Master seed for all randomness.
-    engine:
-        Monte-Carlo execution engine (``"batch"`` or ``"loop"``); both
-        produce identical results for the same seed.
     workers:
         Worker processes for the experiment's independent points and run
         shards (``1`` = serial, ``0`` = all CPU cores).  Results are
@@ -62,7 +95,6 @@ class SyntheticExperimentConfig:
     horizon: int = 100
     n_runs: int = 1000
     n_services: int = 2
-    strategies: Sequence[str] = _DEFAULT_STRATEGIES
     mobility_models: Sequence[str] = (
         "non-skewed",
         "spatially-skewed",
@@ -70,7 +102,6 @@ class SyntheticExperimentConfig:
         "spatially&temporally-skewed",
     )
     seed: int = 2017
-    engine: str = "batch"
     workers: int = 1
     backend: str = "dense"
 
@@ -83,12 +114,9 @@ class SyntheticExperimentConfig:
             raise ValueError("n_runs must be positive")
         if self.n_services < 2:
             raise ValueError("n_services must be at least 2")
-        if not self.strategies:
-            raise ValueError("at least one strategy is required")
         if not self.mobility_models:
             raise ValueError("at least one mobility model is required")
-        if self.engine not in ("batch", "loop"):
-            raise ValueError("engine must be 'batch' or 'loop'")
+        _check_mobility_models("mobility_models", self.mobility_models)
         if self.workers < 0:
             raise ValueError("workers must be non-negative (0 = all cores)")
         if self.backend not in ("dense", "sparse", "auto"):
@@ -97,7 +125,6 @@ class SyntheticExperimentConfig:
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict form (JSON-serialisable)."""
         data = asdict(self)
-        data["strategies"] = list(self.strategies)
         data["mobility_models"] = list(self.mobility_models)
         return data
 
@@ -105,25 +132,16 @@ class SyntheticExperimentConfig:
     def from_dict(cls, data: dict[str, Any]) -> "SyntheticExperimentConfig":
         """Rebuild a config from :meth:`to_dict` output."""
         data = dict(data)
-        if "strategies" in data:
-            data["strategies"] = tuple(data["strategies"])
         if "mobility_models" in data:
             data["mobility_models"] = tuple(data["mobility_models"])
         return cls(**data)
 
     def scaled(self, *, n_runs: int | None = None, horizon: int | None = None):
         """Copy with a smaller run count / horizon (for tests and CI)."""
-        return SyntheticExperimentConfig(
-            n_cells=self.n_cells,
-            horizon=horizon if horizon is not None else self.horizon,
-            n_runs=n_runs if n_runs is not None else self.n_runs,
-            n_services=self.n_services,
-            strategies=tuple(self.strategies),
+        return replace(
+            self,
             mobility_models=tuple(self.mobility_models),
-            seed=self.seed,
-            engine=self.engine,
-            workers=self.workers,
-            backend=self.backend,
+            **_given(n_runs=n_runs, horizon=horizon),
         )
 
 
@@ -148,9 +166,6 @@ class TraceExperimentConfig:
         Strategy names to evaluate for the protected users.
     seed:
         Master seed.
-    engine:
-        Monte-Carlo execution engine for any synthetic sub-sweeps
-        (``"batch"`` or ``"loop"``).
     workers:
         Worker processes for independent experiment points (``1`` =
         serial, ``0`` = all CPU cores); never affects the numbers.
@@ -163,9 +178,7 @@ class TraceExperimentConfig:
     n_chaffs: int = 1
     strategies: Sequence[str] = ("IM", "MO", "ML", "OO")
     seed: int = 2017
-    engine: str = "batch"
     workers: int = 1
-    extra: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.n_nodes < 2:
@@ -180,8 +193,7 @@ class TraceExperimentConfig:
             raise ValueError("n_chaffs must be positive")
         if not self.strategies:
             raise ValueError("at least one strategy is required")
-        if self.engine not in ("batch", "loop"):
-            raise ValueError("engine must be 'batch' or 'loop'")
+        _check_strategies("strategies", self.strategies)
         if self.workers < 0:
             raise ValueError("workers must be non-negative (0 = all cores)")
 
@@ -207,17 +219,10 @@ class TraceExperimentConfig:
         horizon: int | None = None,
     ) -> "TraceExperimentConfig":
         """Copy with reduced sizes (for tests and CI)."""
-        return TraceExperimentConfig(
-            n_nodes=n_nodes if n_nodes is not None else self.n_nodes,
-            horizon=horizon if horizon is not None else self.horizon,
-            n_towers=n_towers if n_towers is not None else self.n_towers,
-            top_k_users=self.top_k_users,
-            n_chaffs=self.n_chaffs,
+        return replace(
+            self,
             strategies=tuple(self.strategies),
-            seed=self.seed,
-            engine=self.engine,
-            workers=self.workers,
-            extra=dict(self.extra),
+            **_given(n_nodes=n_nodes, n_towers=n_towers, horizon=horizon),
         )
 
 
@@ -251,9 +256,6 @@ class FleetExperimentConfig:
         ``site_capacity`` so every point fits the deployment.
     seed:
         Master seed for all randomness.
-    engine:
-        Fleet execution engine (``"batch"`` or ``"loop"``); identical
-        results, batch is the vectorised fast path.
     workers:
         Worker processes for independent sweep points and run shards
         (``1`` = serial, ``0`` = all cores); never changes the numbers.
@@ -286,7 +288,6 @@ class FleetExperimentConfig:
     population_sweep: "tuple[int, ...] | None" = None
     capacity_sweep: "tuple[int, ...] | None" = None
     seed: int = 2017
-    engine: str = "batch"
     workers: int = 1
     backend: str = "dense"
     stream: bool = False
@@ -307,8 +308,8 @@ class FleetExperimentConfig:
             raise ValueError("n_runs must be positive")
         if self.n_chaffs < 0:
             raise ValueError("n_chaffs must be non-negative")
-        if self.engine not in ("batch", "loop"):
-            raise ValueError("engine must be 'batch' or 'loop'")
+        _check_strategies("strategy", [self.strategy])
+        _check_mobility_models("mobility_model", [self.mobility_model])
         if self.workers < 0:
             raise ValueError("workers must be non-negative (0 = all cores)")
         if self.backend not in ("dense", "sparse", "auto"):
@@ -397,26 +398,7 @@ class FleetExperimentConfig:
         horizon: int | None = None,
     ) -> "FleetExperimentConfig":
         """Copy with reduced sizes (for tests and CI)."""
-        return FleetExperimentConfig(
-            n_users=n_users if n_users is not None else self.n_users,
-            n_cells=self.n_cells,
-            site_capacity=self.site_capacity,
-            horizon=horizon if horizon is not None else self.horizon,
-            n_runs=n_runs if n_runs is not None else self.n_runs,
-            n_chaffs=self.n_chaffs,
-            strategy=self.strategy,
-            mobility_model=self.mobility_model,
-            population_sweep=self.population_sweep,
-            capacity_sweep=self.capacity_sweep,
-            seed=self.seed,
-            engine=self.engine,
-            workers=self.workers,
-            backend=self.backend,
-            stream=self.stream,
-            chunk_slots=self.chunk_slots,
-            regions=self.regions,
-            run_stack=self.run_stack,
-        )
+        return replace(self, **_given(n_users=n_users, n_runs=n_runs, horizon=horizon))
 
 
 @dataclass(frozen=True)
@@ -450,9 +432,9 @@ class DynamicExperimentConfig:
     failure_sweep / churn_sweep:
         Explicit sweep points; ``None`` derives a small default sweep
         around ``failure_rate`` / ``churn_rate``.
-    seed / engine / workers:
-        As in every experiment config (``engine`` and ``workers`` never
-        change the numbers and stay out of the cache key).
+    seed / workers:
+        As in every experiment config (``workers`` never changes the
+        numbers and stays out of the cache key).
     """
 
     n_users: int = 40
@@ -471,7 +453,6 @@ class DynamicExperimentConfig:
     failure_sweep: "tuple[float, ...] | None" = None
     churn_sweep: "tuple[float, ...] | None" = None
     seed: int = 2017
-    engine: str = "batch"
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -499,8 +480,10 @@ class DynamicExperimentConfig:
             raise ValueError("failure_sweep rates must be non-negative")
         if any(not 0.0 <= rate <= 1.0 for rate in self.churn_rates()):
             raise ValueError("churn_sweep rates must be in [0, 1]")
-        if self.engine not in ("batch", "loop"):
-            raise ValueError("engine must be 'batch' or 'loop'")
+        _check_strategies("strategy", [self.strategy])
+        _check_mobility_models("mobility_model", [self.mobility_model])
+        if self.regime_model is not None:
+            _check_mobility_models("regime_model", [self.regime_model])
         if self.workers < 0:
             raise ValueError("workers must be non-negative (0 = all cores)")
         slots = self.n_cells * self.site_capacity
@@ -550,28 +533,11 @@ class DynamicExperimentConfig:
     ) -> "DynamicExperimentConfig":
         """Copy with reduced sizes (for tests and CI)."""
         horizon = horizon if horizon is not None else self.horizon
-        period = self.regime_period
-        if period is not None:
-            period = max(2, min(period, horizon // 2))
-        return DynamicExperimentConfig(
-            n_users=n_users if n_users is not None else self.n_users,
-            n_cells=self.n_cells,
-            site_capacity=self.site_capacity,
+        return replace(
+            self,
             horizon=horizon,
-            n_runs=n_runs if n_runs is not None else self.n_runs,
-            n_chaffs=self.n_chaffs,
-            strategy=self.strategy,
-            mobility_model=self.mobility_model,
-            regime_model=self.regime_model,
-            regime_period=period,
-            failure_rate=self.failure_rate,
-            churn_rate=self.churn_rate,
-            mean_downtime=self.mean_downtime,
-            failure_sweep=self.failure_sweep,
-            churn_sweep=self.churn_sweep,
-            seed=self.seed,
-            engine=self.engine,
-            workers=self.workers,
+            regime_period=_clamped_period(self.regime_period, horizon),
+            **_given(n_users=n_users, n_runs=n_runs),
         )
 
 
@@ -614,10 +580,10 @@ class AdversaryExperimentConfig:
     smoothing / warm_start:
         Learned-knowledge fit parameters (additive smoothing; whether
         the adversary's counts persist episode over episode).
-    seed / engine / workers:
-        As in every experiment config (``engine`` and ``workers`` never
-        change the numbers and stay out of the cache key; workers shard
-        the report simulation, never the order-dependent evaluation).
+    seed / workers:
+        As in every experiment config (``workers`` never changes the
+        numbers and stays out of the cache key; workers shard the report
+        simulation, never the order-dependent evaluation).
     run_stack:
         Monte-Carlo episodes folded into one pass of the slot kernel
         during report simulation (``1`` = per-episode).  Execution-only:
@@ -641,7 +607,6 @@ class AdversaryExperimentConfig:
     smoothing: float = 1e-3
     warm_start: bool = True
     seed: int = 2017
-    engine: str = "batch"
     workers: int = 1
     run_stack: int = 1
 
@@ -680,8 +645,10 @@ class AdversaryExperimentConfig:
             raise ValueError("coalition_fraction must be in (0, 1]")
         if self.smoothing <= 0:
             raise ValueError("smoothing must be positive")
-        if self.engine not in ("batch", "loop"):
-            raise ValueError("engine must be 'batch' or 'loop'")
+        _check_strategies("strategy", [self.strategy])
+        _check_mobility_models("mobility_model", [self.mobility_model])
+        if self.regime_model is not None:
+            _check_mobility_models("regime_model", [self.regime_model])
         if self.workers < 0:
             raise ValueError("workers must be non-negative (0 = all cores)")
         if self.run_stack < 1:
@@ -723,28 +690,12 @@ class AdversaryExperimentConfig:
     ) -> "AdversaryExperimentConfig":
         """Copy with reduced sizes (for tests and CI)."""
         horizon = horizon if horizon is not None else self.horizon
-        period = self.regime_period
-        if period is not None:
-            period = max(2, min(period, horizon // 2))
-        return AdversaryExperimentConfig(
-            n_users=n_users if n_users is not None else self.n_users,
-            n_cells=self.n_cells,
-            site_capacity=self.site_capacity,
+        return replace(
+            self,
             horizon=horizon,
-            n_runs=n_runs if n_runs is not None else self.n_runs,
-            n_chaffs=self.n_chaffs,
-            strategy=self.strategy,
-            mobility_model=self.mobility_model,
-            regime_model=self.regime_model,
-            regime_period=period,
+            regime_period=_clamped_period(self.regime_period, horizon),
             knowledge_levels=tuple(self.knowledge_levels),
             coverage_fractions=tuple(self.coverage_fractions),
             coalition_sizes=tuple(self.coalition_sizes),
-            coalition_fraction=self.coalition_fraction,
-            smoothing=self.smoothing,
-            warm_start=self.warm_start,
-            seed=self.seed,
-            engine=self.engine,
-            workers=self.workers,
-            run_stack=self.run_stack,
+            **_given(n_users=n_users, n_runs=n_runs),
         )

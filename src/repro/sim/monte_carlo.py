@@ -5,22 +5,20 @@ harness here owns seeding (each run gets an independent child generator
 spawned from a single :class:`numpy.random.SeedSequence`) so experiments
 are reproducible run-for-run regardless of execution order.
 
-Two execution engines are provided:
+All runs of a configuration are played as ``(R, T)`` / ``(R, N, T)``
+arrays through :meth:`~repro.core.game.PrivacyGame.run_batch`.  Because
+every run keeps its own child generator and the batched stages consume
+each generator in the scalar order, the results are bit-identical to
+playing the episodes one at a time (:meth:`MonteCarloRunner.run_episodes`)
+for the same master seed — just several times faster at paper scale.
+The looped path is also what :meth:`MonteCarloRunner.run` falls back to
+when provider outputs are ragged and cannot be stacked into one batch.
 
-* ``"batch"`` (default) — all runs of a configuration are played as
-  ``(R, T)`` / ``(R, N, T)`` arrays through
-  :meth:`~repro.core.game.PrivacyGame.run_batch`.  Because every run keeps
-  its own child generator and the batched stages consume each generator in
-  the scalar order, the results are bit-identical to the looped engine for
-  the same master seed — just several times faster at paper scale.
-* ``"loop"`` — the original one-episode-at-a-time path, kept as an escape
-  hatch and as the reference for the golden-seed equivalence tests.
-
-Orthogonally to the engine choice, ``workers=N`` shards the runs over a
-process pool (see :mod:`repro.sim.parallel`): every worker respawns the
-per-run child generators by index from the master seed and replays its
-contiguous slice, so the concatenated result is independent of the worker
-count — and therefore bit-identical to the serial path.
+``workers=N`` shards the runs over a process pool (see
+:mod:`repro.sim.parallel`): every worker respawns the per-run child
+generators by index from the master seed and replays its contiguous
+slice, so the concatenated result is independent of the worker count —
+and therefore bit-identical to the serial path.
 """
 
 from __future__ import annotations
@@ -34,10 +32,7 @@ from ..analysis.metrics import TrackingStatistics, aggregate_episodes
 from ..core.game import BatchEpisodeResult, EpisodeResult, PrivacyGame
 from .seeding import spawn_generators
 
-__all__ = ["MonteCarloRunner", "run_game_monte_carlo", "ENGINES"]
-
-#: Valid execution engines for :class:`MonteCarloRunner`.
-ENGINES = ("batch", "loop")
+__all__ = ["MonteCarloRunner", "run_game_monte_carlo"]
 
 UserProvider = Callable[[int, np.random.Generator], np.ndarray]
 BackgroundProvider = Callable[[int, np.random.Generator], "np.ndarray | None"]
@@ -55,10 +50,6 @@ class MonteCarloRunner:
         Master seed (an integer or a :class:`~numpy.random.SeedSequence`
         child spawned by a higher layer); per-run generators are spawned
         from it.
-    engine:
-        ``"batch"`` (default) plays all runs as one array batch;
-        ``"loop"`` plays them one at a time.  Both produce identical
-        results for the same seed.
     workers:
         Number of worker processes the runs are sharded over.  ``1``
         (default) keeps the current serial path, ``0`` uses all CPU
@@ -67,14 +58,11 @@ class MonteCarloRunner:
 
     n_runs: int
     seed: "int | np.random.SeedSequence" = 0
-    engine: str = "batch"
     workers: int = 1
 
     def __post_init__(self) -> None:
         if self.n_runs < 1:
             raise ValueError("n_runs must be positive")
-        if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if self.workers < 0:
             raise ValueError("workers must be non-negative (0 = all cores)")
 
@@ -104,23 +92,6 @@ class MonteCarloRunner:
         to a fixed user trajectory, e.g. a taxi trace) must be supplied.
         """
         workers = self._effective_workers()
-        if self.engine == "loop":
-            if workers == 1:
-                episodes = self.run_episodes(
-                    game,
-                    horizon=horizon,
-                    user_trajectory_provider=user_trajectory_provider,
-                    background_provider=background_provider,
-                )
-            else:
-                episodes = self._episodes_parallel(
-                    game,
-                    workers,
-                    horizon=horizon,
-                    user_trajectory_provider=user_trajectory_provider,
-                    background_provider=background_provider,
-                )
-            return aggregate_episodes(episodes)
         _validate_sources(horizon, user_trajectory_provider)
         providers_used = (
             user_trajectory_provider is not None or background_provider is not None
@@ -151,31 +122,18 @@ class MonteCarloRunner:
         # or a mix of arrays and None): finish with the looped game path,
         # reusing the generators and outputs already drawn so providers are
         # invoked exactly once and the random streams match a pure loop.
-        if workers > 1:
-            from .parallel import run_episodes_sharded
+        from .parallel import run_episodes_sharded
 
-            episodes = run_episodes_sharded(
-                game,
-                self.seed,
-                self.n_runs,
-                workers,
-                rngs=rngs,
-                horizon=horizon if users is None else None,
-                user_trajectories=users,
-                background_trajectories=backgrounds,
-            )
-            return aggregate_episodes(episodes)
-        episodes = [
-            game.run_episode(
-                rng,
-                horizon=horizon if users is None else None,
-                user_trajectory=None if users is None else users[run],
-                background_trajectories=(
-                    None if backgrounds is None else backgrounds[run]
-                ),
-            )
-            for run, rng in enumerate(rngs)
-        ]
+        episodes = run_episodes_sharded(
+            game,
+            self.seed,
+            self.n_runs,
+            workers,
+            rngs=rngs,
+            horizon=horizon if users is None else None,
+            user_trajectories=users,
+            background_trajectories=backgrounds,
+        )
         return aggregate_episodes(episodes)
 
     def run_batch(
@@ -189,7 +147,7 @@ class MonteCarloRunner:
         """Run all episodes as one array batch and return the raw result.
 
         Provider callables are invoked once per run with that run's
-        generator (preserving the looped engine's random streams) and
+        generator (preserving the looped path's random streams) and
         their outputs stacked into the batch tensors; outputs that cannot
         be stacked (ragged shapes) raise ``ValueError`` — use :meth:`run`,
         which falls back to the looped game path for that case.
@@ -290,49 +248,13 @@ class MonteCarloRunner:
             )
         return episodes
 
-    # ------------------------------------------------------------------
-    def _episodes_parallel(
-        self,
-        game: PrivacyGame,
-        workers: int,
-        *,
-        horizon: int | None,
-        user_trajectory_provider: UserProvider | None,
-        background_provider: BackgroundProvider | None,
-    ) -> list[EpisodeResult]:
-        """The looped engine sharded over a process pool, in run order."""
-        from .parallel import run_episodes_sharded
-
-        _validate_sources(horizon, user_trajectory_provider)
-        providers_used = (
-            user_trajectory_provider is not None or background_provider is not None
-        )
-        if not providers_used:
-            return run_episodes_sharded(
-                game, self.seed, self.n_runs, workers, horizon=horizon
-            )
-        rngs = self.spawn_generators()
-        users, backgrounds = self._gather_provider_outputs(
-            rngs, user_trajectory_provider, background_provider
-        )
-        return run_episodes_sharded(
-            game,
-            self.seed,
-            self.n_runs,
-            workers,
-            rngs=rngs,
-            horizon=horizon if users is None else None,
-            user_trajectories=users,
-            background_trajectories=backgrounds,
-        )
-
     def _gather_provider_outputs(
         self,
         rngs: Sequence[np.random.Generator],
         user_trajectory_provider: UserProvider | None,
         background_provider: BackgroundProvider | None,
     ) -> tuple[list[np.ndarray] | None, list[np.ndarray | None] | None]:
-        """Invoke the providers once per run, in the looped engine's order.
+        """Invoke the providers once per run, in the looped path's order.
 
         Each run's generator sees its user draw before its background
         draw, exactly as in :meth:`run_episodes`, so the collected outputs
@@ -377,9 +299,8 @@ def run_game_monte_carlo(
     n_runs: int,
     horizon: int,
     seed: int = 0,
-    engine: str = "batch",
     workers: int = 1,
 ) -> TrackingStatistics:
     """Convenience wrapper: sample-user episodes with default providers."""
-    runner = MonteCarloRunner(n_runs=n_runs, seed=seed, engine=engine, workers=workers)
+    runner = MonteCarloRunner(n_runs=n_runs, seed=seed, workers=workers)
     return runner.run(game, horizon=horizon)

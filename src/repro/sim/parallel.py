@@ -236,7 +236,8 @@ def run_episodes_sharded(
     user_trajectories: "Sequence[np.ndarray] | None" = None,
     background_trajectories: "Sequence[np.ndarray | None] | None" = None,
 ) -> list[EpisodeResult]:
-    """The looped episode path over a process pool, in run order.
+    """The looped episode path over a process pool (serial for a single
+    worker), in run order.
 
     Unlike :func:`run_batch_sharded` the per-run trajectories may be
     ragged (a plain list), which is what the harness falls back to when

@@ -56,13 +56,9 @@ class StrategySweep:
 
 def _sweep_point(task) -> TrackingStatistics:
     """Evaluate one (strategy, N) series; module-level so pools can pickle it."""
-    chain, detector, strategy, n_services, horizon, n_runs, child, engine, workers = (
-        task
-    )
+    chain, detector, strategy, n_services, horizon, n_runs, child, workers = task
     game = PrivacyGame(chain, strategy, detector, n_services=n_services)
-    runner = MonteCarloRunner(
-        n_runs=n_runs, seed=child, engine=engine, workers=workers
-    )
+    runner = MonteCarloRunner(n_runs=n_runs, seed=child, workers=workers)
     return runner.run(game, horizon=horizon)
 
 
@@ -75,7 +71,6 @@ def sweep_strategies(
     n_runs: int,
     seed: int | np.random.SeedSequence,
     model_label: str = "model",
-    engine: str = "batch",
     workers: int = 1,
 ) -> StrategySweep:
     """Evaluate several (strategy, N) combinations against one model.
@@ -94,9 +89,6 @@ def sweep_strategies(
         Monte-Carlo parameters.  Each series runs on its own child
         sequence spawned from ``seed``, so series streams never overlap —
         within this sweep or with any other experiment.
-    engine:
-        Monte-Carlo execution engine (``"batch"`` or ``"loop"``); both
-        produce identical statistics for the same seed.
     workers:
         Worker processes (``0`` = all cores).  With several series the
         independent points are mapped over the pool; a single series is
@@ -127,7 +119,6 @@ def sweep_strategies(
                 horizon,
                 n_runs,
                 child,
-                engine,
                 point_workers,
             )
         )

@@ -1,12 +1,23 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite.
+
+Also puts this directory on ``sys.path`` so the test-only oracles in
+``tests/reference/`` import as ``reference``.
+"""
 
 from __future__ import annotations
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.mobility.markov import MarkovChain
 from repro.mobility.models import paper_synthetic_models
+
+_TESTS_DIR = str(Path(__file__).resolve().parent)
+if _TESTS_DIR not in sys.path:
+    sys.path.insert(0, _TESTS_DIR)
 
 
 @pytest.fixture

@@ -1,0 +1,29 @@
+"""Test-only oracles: the naive looped reference paths.
+
+The library ships one vectorised path per layer.  The slow, obvious
+implementations they are checked against live here, outside ``src/``,
+so no configuration can select them:
+
+* :mod:`reference.monte_carlo` — the single-user Monte-Carlo and strategy
+  sweep played one episode at a time;
+* :mod:`reference.fleet` — the per-user, per-service fleet walk, plus a
+  context manager routing whole fleet experiments through it;
+* :mod:`reference.adversary` — the per-row Python scorer of the
+  knowledge x coverage adversary.
+
+``tests/conftest.py`` and ``benchmarks/conftest.py`` put ``tests/`` on
+``sys.path``, so both suites import this package as ``reference``.
+"""
+
+from .adversary import LoopReferenceAdversaryDetector
+from .fleet import loop_engine, run_fleet, run_fleet_loop
+from .monte_carlo import run_game_loop, sweep_strategies_loop
+
+__all__ = [
+    "LoopReferenceAdversaryDetector",
+    "loop_engine",
+    "run_fleet",
+    "run_fleet_loop",
+    "run_game_loop",
+    "sweep_strategies_loop",
+]

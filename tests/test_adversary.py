@@ -4,8 +4,8 @@ Covers the coverage models (seeded masks, nested ladders, coalitions),
 the knowledge models (oracle / learned / stale semantics, warm-started
 online fitting), the adversary detector's contracts — oracle knowledge
 with full coverage bit-identical to the existing ML fleet path in both
-engines, vectorised == loop-reference scoring for every knowledge x
-coverage combination, censored-plane scoring — the adversary Monte-Carlo
+engines, vectorised == loop-reference scoring (the oracle in
+``tests/reference/``) for every knowledge x coverage combination, censored-plane scoring — the adversary Monte-Carlo
 (order-dependent learning, worker-count invariant report simulation),
 the registered ``adversary`` experiment + CLI, and the two satellite
 upgrades: the vectorised strategy-aware detector and the stack-aware
@@ -56,6 +56,8 @@ from repro.sim.cache import ResultCache
 from repro.sim.config import AdversaryExperimentConfig
 from repro.sim.seeding import spawn_generators
 from repro.world.generators import dynamic_timeline
+
+from reference import LoopReferenceAdversaryDetector, loop_engine, run_fleet
 
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
 
@@ -255,7 +257,7 @@ class TestOracleFullBitIdentity:
     @pytest.mark.parametrize("engine", ["batch", "loop"])
     def test_static_world(self, chain, engine):
         simulation = _fleet(chain)
-        report = simulation.run(0, engine=engine)
+        report = run_fleet(simulation, 0, engine)
         ml = report.evaluate(chain, MaximumLikelihoodDetector())
         adv = report.evaluate(chain, AdversaryDetector())
         assert np.array_equal(ml.chosen_rows, adv.chosen_rows)
@@ -265,7 +267,7 @@ class TestOracleFullBitIdentity:
     @pytest.mark.parametrize("engine", ["batch", "loop"])
     def test_dynamic_churned_world(self, chains, engine):
         simulation = _dynamic_fleet(chains, churn=0.4)
-        report = simulation.run(3, engine=engine)
+        report = run_fleet(simulation, 3, engine)
         assert report.windows is not None  # the masked evaluation path
         ml = report.evaluate(chains["non-skewed"], MaximumLikelihoodDetector())
         adv = report.evaluate(chains["non-skewed"], AdversaryDetector())
@@ -298,9 +300,7 @@ class TestVectorisedVsLoopReference:
         report = _dynamic_fleet(chains, churn=0.3).run(1)
         for coverage in _coverages():
             fast = AdversaryDetector(make_knowledge(level), coverage)
-            slow = AdversaryDetector(
-                make_knowledge(level), coverage, loop_reference=True
-            )
+            slow = LoopReferenceAdversaryDetector(make_knowledge(level), coverage)
             a = report.evaluate(chains["non-skewed"], fast)
             b = report.evaluate(chains["non-skewed"], slow)
             assert np.array_equal(a.chosen_rows, b.chosen_rows), coverage.name
@@ -562,7 +562,8 @@ class TestAdversaryExperiment:
 
     def test_engines_do_not_change_the_numbers(self):
         batch = run_adversary_experiment(self._config())
-        loop = run_adversary_experiment(self._config(engine="loop"))
+        with loop_engine():
+            loop = run_adversary_experiment(self._config())
         assert batch.to_dict()["groups"] == loop.to_dict()["groups"]
 
     def test_cache_round_trip(self, tmp_path):

@@ -1,11 +1,12 @@
-"""Golden-seed equivalence tests: batched engine == looped engine.
+"""Golden-seed equivalence tests: batched engine == looped reference.
 
-The batched Monte-Carlo engine must reproduce the looped engine *exactly*
-— same user trajectories, same chaffs, same detection decisions, same
-``TrackingStatistics`` — for the same master seed, because each run keeps
-its own child generator and every batched stage consumes the generators
-in the scalar order.  These tests pin that contract for every registered
-strategy and every detector.
+The batched Monte-Carlo engine must reproduce the looped episode path
+*exactly* — same user trajectories, same chaffs, same detection
+decisions, same ``TrackingStatistics`` — for the same master seed,
+because each run keeps its own child generator and every batched stage
+consumes the generators in the scalar order.  These tests pin that
+contract for every registered strategy and every detector; the looped
+oracles come from ``tests/reference/``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from repro.core.strategies import available_strategies, get_strategy
 from repro.mobility.models import paper_synthetic_models
 from repro.sim.monte_carlo import MonteCarloRunner, run_game_monte_carlo
 from repro.sim.runner import sweep_strategies
+
+from reference import run_game_loop, sweep_strategies_loop
 
 N_RUNS = 6
 HORIZON = 12
@@ -71,8 +74,8 @@ class TestStrategyEquivalence:
         game = PrivacyGame(
             chain, get_strategy(name), MaximumLikelihoodDetector(), n_services=n_services
         )
-        loop = MonteCarloRunner(n_runs=N_RUNS, seed=SEED, engine="loop")
-        batch = MonteCarloRunner(n_runs=N_RUNS, seed=SEED, engine="batch")
+        loop = MonteCarloRunner(n_runs=N_RUNS, seed=SEED)
+        batch = MonteCarloRunner(n_runs=N_RUNS, seed=SEED)
         episodes = loop.run_episodes(game, horizon=HORIZON)
         result = batch.run_batch(game, horizon=HORIZON)
         assert_batch_matches_episodes(result, episodes)
@@ -136,8 +139,8 @@ class TestDetectorEquivalence:
     def test_strategy_aware_game_equivalence(self, chain):
         detector = StrategyAwareDetector(get_strategy("MO"))
         game = PrivacyGame(chain, get_strategy("RMO"), detector, n_services=3)
-        loop = MonteCarloRunner(n_runs=N_RUNS, seed=SEED, engine="loop")
-        batch = MonteCarloRunner(n_runs=N_RUNS, seed=SEED, engine="batch")
+        loop = MonteCarloRunner(n_runs=N_RUNS, seed=SEED)
+        batch = MonteCarloRunner(n_runs=N_RUNS, seed=SEED)
         episodes = loop.run_episodes(game, horizon=HORIZON)
         result = batch.run_batch(game, horizon=HORIZON)
         assert_batch_matches_episodes(result, episodes)
@@ -150,8 +153,8 @@ class TestProviderEquivalence:
         )
         trace = chain.sample_trajectory(HORIZON, np.random.default_rng(3))
         provider = lambda run, rng: np.roll(trace, run)
-        loop = MonteCarloRunner(n_runs=N_RUNS, seed=SEED, engine="loop")
-        batch = MonteCarloRunner(n_runs=N_RUNS, seed=SEED, engine="batch")
+        loop = MonteCarloRunner(n_runs=N_RUNS, seed=SEED)
+        batch = MonteCarloRunner(n_runs=N_RUNS, seed=SEED)
         episodes = loop.run_episodes(game, user_trajectory_provider=provider)
         result = batch.run_batch(game, user_trajectory_provider=provider)
         assert_batch_matches_episodes(result, episodes)
@@ -162,8 +165,8 @@ class TestProviderEquivalence:
         )
         background = chain.sample_trajectories(3, HORIZON, np.random.default_rng(4))
         provider = lambda run, rng: background
-        loop = MonteCarloRunner(n_runs=N_RUNS, seed=SEED, engine="loop")
-        batch = MonteCarloRunner(n_runs=N_RUNS, seed=SEED, engine="batch")
+        loop = MonteCarloRunner(n_runs=N_RUNS, seed=SEED)
+        batch = MonteCarloRunner(n_runs=N_RUNS, seed=SEED)
         episodes = loop.run_episodes(
             game, horizon=HORIZON, background_provider=provider
         )
@@ -183,7 +186,7 @@ class TestProviderEquivalence:
             # the outputs already drawn instead of re-invoking the provider.
             return chain.sample_trajectories(1 + run % 2, HORIZON, rng)
 
-        MonteCarloRunner(n_runs=N_RUNS, seed=SEED, engine="batch").run(
+        MonteCarloRunner(n_runs=N_RUNS, seed=SEED).run(
             game, horizon=HORIZON, background_provider=provider
         )
         assert calls == list(range(N_RUNS))
@@ -198,10 +201,15 @@ class TestProviderEquivalence:
             for run in range(N_RUNS)
         ]
         provider = lambda run, run_rng: backgrounds[run]
-        batch = MonteCarloRunner(n_runs=N_RUNS, seed=SEED, engine="batch")
-        loop = MonteCarloRunner(n_runs=N_RUNS, seed=SEED, engine="loop")
+        batch = MonteCarloRunner(n_runs=N_RUNS, seed=SEED)
         stats_batch = batch.run(game, horizon=HORIZON, background_provider=provider)
-        stats_loop = loop.run(game, horizon=HORIZON, background_provider=provider)
+        stats_loop = run_game_loop(
+            game,
+            n_runs=N_RUNS,
+            seed=SEED,
+            horizon=HORIZON,
+            background_provider=provider,
+        )
         assert np.array_equal(
             stats_batch.per_slot_accuracy, stats_loop.per_slot_accuracy
         )
@@ -213,8 +221,8 @@ class TestHarnessEquivalence:
         game = PrivacyGame(
             chain, get_strategy("OO"), MaximumLikelihoodDetector(), n_services=2
         )
-        a = run_game_monte_carlo(game, n_runs=5, horizon=10, seed=2, engine="batch")
-        b = run_game_monte_carlo(game, n_runs=5, horizon=10, seed=2, engine="loop")
+        a = run_game_monte_carlo(game, n_runs=5, horizon=10, seed=2)
+        b = run_game_loop(game, n_runs=5, horizon=10, seed=2)
         assert np.array_equal(a.per_slot_accuracy, b.per_slot_accuracy)
         assert a.tracking_accuracy == b.tracking_accuracy
         assert a.detection_accuracy == b.detection_accuracy
@@ -222,21 +230,15 @@ class TestHarnessEquivalence:
     def test_sweep_matches_between_engines(self, chain):
         specs = {"IM (N = 2)": ("IM", 2), "MO (N = 3)": ("MO", 3)}
         kwargs = dict(horizon=10, n_runs=5, seed=3)
-        batch = sweep_strategies(
-            chain, MaximumLikelihoodDetector(), specs, engine="batch", **kwargs
-        )
-        loop = sweep_strategies(
-            chain, MaximumLikelihoodDetector(), specs, engine="loop", **kwargs
+        batch = sweep_strategies(chain, MaximumLikelihoodDetector(), specs, **kwargs)
+        loop = sweep_strategies_loop(
+            chain, MaximumLikelihoodDetector(), specs, **kwargs
         )
         for label in specs:
             assert np.array_equal(
                 batch.statistics[label].per_slot_accuracy,
                 loop.statistics[label].per_slot_accuracy,
             )
-
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError):
-            MonteCarloRunner(n_runs=2, engine="warp")
 
     def test_batch_episodes_materialise(self, chain):
         game = PrivacyGame(

@@ -6,9 +6,10 @@ The two load-bearing contracts:
 * **Golden seeds** — an empty timeline is bit-identical to the
   pre-refactor static path in both engines (digests captured from the
   code before the world layer existed);
-* **Engine equivalence** — batch == loop bit-identically under any
-  timeline (regimes + failures/capacity shocks + churn), and the fleet
-  Monte-Carlo stays worker-count independent.
+* **Engine equivalence** — batch == the looped oracle of
+  ``tests/reference/`` bit-identically under any timeline (regimes +
+  failures/capacity shocks + churn), and the fleet Monte-Carlo stays
+  worker-count independent.
 
 The worker count for sharded tests comes from ``REPRO_TEST_WORKERS``
 (default 2) so CI can pin the process-pool path.
@@ -55,6 +56,8 @@ from repro.world import (
     poisson_site_failures,
     random_user_churn,
 )
+
+from reference import loop_engine, run_fleet, run_fleet_loop
 
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
 
@@ -518,7 +521,7 @@ class TestGoldenSeeds:
                 config=simulation.config,
                 timeline=timeline,
             )
-        report = simulation.run(seed, engine=engine)
+        report = run_fleet(simulation, seed, engine)
         evaluation = report.evaluate(chain9, MaximumLikelihoodDetector())
         golden = GOLDEN[case]
         assert _digest(report.user_trajectories) == golden["users"]
@@ -589,7 +592,7 @@ class TestDynamicEngineEquivalence:
             timeline=_rich_timeline(regime9),
         )
         batch = simulation.run(seed, engine="batch")
-        loop = simulation.run(seed, engine="loop")
+        loop = run_fleet_loop(simulation, seed)
         _assert_reports_identical(batch, loop)
         assert batch.placement.evicted > 0  # the timeline actually bites
         for detector in (MaximumLikelihoodDetector(), RandomGuessDetector()):
@@ -623,7 +626,7 @@ class TestDynamicEngineEquivalence:
             timeline=timeline,
         )
         _assert_reports_identical(
-            simulation.run(11, engine="batch"), simulation.run(11, engine="loop")
+            simulation.run(11, engine="batch"), run_fleet_loop(simulation, 11)
         )
 
     def test_histories_masked_exactly_on_windows(self, chain9, regime9):
@@ -715,7 +718,7 @@ class TestDynamicEngineEquivalence:
             timeline=timeline,
         )
         _assert_reports_identical(
-            simulation.run(1, engine="batch"), simulation.run(1, engine="loop")
+            simulation.run(1, engine="batch"), run_fleet_loop(simulation, 1)
         )
 
 
@@ -752,7 +755,8 @@ class TestDynamicExperiment:
 
     def test_engine_and_workers_equivalence(self):
         base = run_experiment("dynamic", _small_dynamic_config())
-        loop = run_experiment("dynamic", _small_dynamic_config(engine="loop"))
+        with loop_engine():
+            loop = run_experiment("dynamic", _small_dynamic_config())
         pooled = run_experiment("dynamic", _small_dynamic_config(workers=WORKERS))
         assert base.scalars == loop.scalars
         assert base.scalars == pooled.scalars

@@ -3,7 +3,8 @@
 Covers the placement engine (admit / spill / reject semantics, capacity-1
 edge cases), simulation-scoped service-id allocation, the corrected
 migration-count semantics under zero-cost models, fleet determinism
-(batch == loop engines, serial == sharded Monte-Carlo), per-user
+(batch == the looped oracle of ``tests/reference/``, serial == sharded
+Monte-Carlo), per-user
 detection scoring against the merged observation plane, and the fleet
 experiment + CLI wiring.
 
@@ -42,6 +43,8 @@ from repro.mobility.grid import GridTopology
 from repro.mobility.models import paper_synthetic_models
 from repro.sim.cache import ResultCache
 from repro.sim.config import FleetExperimentConfig
+
+from reference import loop_engine, run_fleet, run_fleet_loop
 
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
 
@@ -293,7 +296,7 @@ class TestFleetSimulation:
             chain, n_users=7, horizon=20, n_chaffs=(0, 1, 2, 1, 0, 3, 1), capacity=3
         )
         batch = simulation.run(11, engine="batch")
-        loop = simulation.run(11, engine="loop")
+        loop = run_fleet_loop(simulation, 11)
         assert np.array_equal(batch.user_trajectories, loop.user_trajectories)
         assert np.array_equal(
             batch.observations.trajectories, loop.observations.trajectories
@@ -326,7 +329,7 @@ class TestFleetSimulation:
             simulation = _fleet(
                 chain, n_users=5, horizon=20, cost_model=ZERO_COSTS
             )
-            report = simulation.run(99, engine=engine)
+            report = run_fleet(simulation, 99, engine)
             total_from_services = sum(
                 service.migration_count for service in report.services
             )
@@ -365,7 +368,7 @@ class TestFleetSimulation:
             config=config,
         )
         batch = simulation.run(8, engine="batch")
-        loop = simulation.run(8, engine="loop")
+        loop = run_fleet_loop(simulation, 8)
         assert np.array_equal(
             batch.observations.trajectories, loop.observations.trajectories
         )
@@ -468,9 +471,8 @@ class TestFleetMonteCarlo:
         batch = run_fleet_monte_carlo(
             simulation, n_runs=4, seed=23, workers=WORKERS, engine="batch"
         )
-        loop = run_fleet_monte_carlo(
-            simulation, n_runs=4, seed=23, workers=1, engine="loop"
-        )
+        with loop_engine():
+            loop = run_fleet_monte_carlo(simulation, n_runs=4, seed=23, workers=1)
         assert np.array_equal(batch.tracking_runs, loop.tracking_runs)
         assert np.array_equal(batch.cost_runs, loop.cost_runs)
 
@@ -531,10 +533,8 @@ class TestFleetExperiment:
 
     def test_engines_do_not_change_the_numbers(self):
         serial = run_fleet_experiment(self._config())
-        config = FleetExperimentConfig.from_dict(
-            {**self._config().to_dict(), "engine": "loop"}
-        )
-        looped = run_fleet_experiment(config)
+        with loop_engine():
+            looped = run_fleet_experiment(self._config())
         assert serial.to_dict()["groups"] == looped.to_dict()["groups"]
 
     def test_cache_round_trip(self, tmp_path):
@@ -665,7 +665,7 @@ class TestSaturatedTopology:
             config=FleetSimulationConfig(n_users=5, horizon=12, n_chaffs=1),
         )
         for engine_name in ("batch", "loop"):
-            report = simulation.run(3, engine=engine_name)
+            report = run_fleet(simulation, 3, engine_name)
             assert report.total_migrations == 0
             stats = report.placement.as_dict()
             assert stats["admitted"] + stats["spilled"] == 10  # instantiation
@@ -674,7 +674,7 @@ class TestSaturatedTopology:
             plane = report.observations.trajectories
             assert np.all(plane == plane[:, :1])
         batch = simulation.run(3, engine="batch")
-        loop = simulation.run(3, engine="loop")
+        loop = run_fleet_loop(simulation, 3)
         assert batch.placement.as_dict() == loop.placement.as_dict()
 
     def test_nearest_free_tie_breaking_is_deterministic(self):
@@ -730,7 +730,7 @@ class TestSingleUserEquivalence:
                 n_users=1, horizon=40, n_chaffs=2, shuffle_observations=False
             ),
         )
-        fleet_report = fleet.run(seed, engine=engine)
+        fleet_report = run_fleet(fleet, seed, engine)
         single = MECSimulation(
             topology,
             chain,

@@ -34,7 +34,12 @@ from repro.sim.cache import (
     ResultCache,
     experiment_cache_key,
 )
-from repro.sim.config import SyntheticExperimentConfig
+from repro.sim.config import (
+    AdversaryExperimentConfig,
+    DynamicExperimentConfig,
+    FleetExperimentConfig,
+    SyntheticExperimentConfig,
+)
 from repro.sim.monte_carlo import MonteCarloRunner
 from repro.sim.parallel import (
     concatenate_batches,
@@ -50,6 +55,8 @@ from repro.sim.seeding import (
     spawn_sequences,
     spawn_sequences_range,
 )
+
+from reference import run_game_loop
 
 N_RUNS = 12
 HORIZON = 10
@@ -142,13 +149,9 @@ class TestParallelEquivalence:
         game = PrivacyGame(
             chain, get_strategy("MO"), MaximumLikelihoodDetector(), n_services=2
         )
-        serial = MonteCarloRunner(n_runs=N_RUNS, seed=SEED, engine="loop", workers=1)
-        sharded = MonteCarloRunner(
-            n_runs=N_RUNS, seed=SEED, engine="loop", workers=WORKERS
-        )
-        assert_stats_equal(
-            serial.run(game, horizon=HORIZON), sharded.run(game, horizon=HORIZON)
-        )
+        serial = run_game_loop(game, n_runs=N_RUNS, seed=SEED, horizon=HORIZON)
+        sharded = MonteCarloRunner(n_runs=N_RUNS, seed=SEED, workers=WORKERS)
+        assert_stats_equal(serial, sharded.run(game, horizon=HORIZON))
 
     def test_run_batch_concatenates_in_run_order(self, chain):
         game = PrivacyGame(
@@ -375,7 +378,6 @@ class TestResultCache:
 
     def test_execution_only_keys_shared(self):
         assert set(EXECUTION_ONLY_KEYS) == {
-            "engine",
             "workers",
             "backend",
             "stream",
@@ -386,10 +388,9 @@ class TestResultCache:
             "metrics_out",
             "trace_out",
         }
-        base = {"n_runs": 3, "engine": "batch", "workers": 1, "backend": "dense"}
+        base = {"n_runs": 3, "workers": 1, "backend": "dense"}
         variant = {
             "n_runs": 3,
-            "engine": "loop",
             "workers": 8,
             "backend": "sparse",
             "stream": True,
@@ -403,6 +404,24 @@ class TestResultCache:
         assert experiment_cache_key("dummy", base) == experiment_cache_key(
             "dummy", variant
         )
+
+    def test_fleet_family_cache_keys_pinned(self):
+        # Digests computed while every config still carried an ``engine``
+        # field: it was already execution-only, so removing it moved no
+        # key of the default fleet, dynamic and adversary configs.
+        pinned = {
+            "fleet": "b54554293ff27280875f5f3ed8efe67d054907422956095ec1844a3fa66f7398",
+            "dynamic": "faed0eb2429b7abdd9ec3ab9198dc889fb2499026206c3c1ec9b06c6cf8ba652",
+            "adversary": "23af97e307d85ff686c22b2c3246a88a3911f318d50b374399abe6bf6ba2c0fc",
+        }
+        configs = {
+            "fleet": FleetExperimentConfig(),
+            "dynamic": DynamicExperimentConfig(),
+            "adversary": AdversaryExperimentConfig(),
+        }
+        for experiment_id, config in configs.items():
+            key = experiment_cache_key(experiment_id, config.to_dict(), version="pin")
+            assert key == pinned[experiment_id], experiment_id
 
     def test_unserialisable_extra_uncacheable(self):
         key = experiment_cache_key("dummy", {"n_runs": 3}, extra={"fn": object()})

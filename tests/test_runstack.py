@@ -65,6 +65,8 @@ from repro.world import (
     UserDeparture,
 )
 
+from reference import loop_engine, run_fleet_loop
+
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
 
 HORIZON = 30
@@ -173,21 +175,22 @@ class TestStackedMonteCarloIdentity:
     def reference(self, chain9, regime9, grid9):
         """Per-service loop-reference statistics, one per timeline flavour.
 
-        The oracle is the independent ``loop`` engine: batch and stream
-        runs are themselves stacks of one, so a batch reference would
-        compare the stacked driver against itself.
+        The oracle is the independent per-service walk of
+        ``tests/reference/``: batch and stream runs are themselves stacks
+        of one, so a batch reference would compare the stacked driver
+        against itself.
         """
 
         def build(dynamic: bool):
             timeline = _edge_timeline(regime9) if dynamic else None
-            return run_fleet_monte_carlo(
-                _make_sim(chain9, grid9, timeline),
-                n_runs=N_RUNS,
-                seed=2017,
-                detector=MaximumLikelihoodDetector(),
-                workers=1,
-                engine="loop",
-            )
+            with loop_engine():
+                return run_fleet_monte_carlo(
+                    _make_sim(chain9, grid9, timeline),
+                    n_runs=N_RUNS,
+                    seed=2017,
+                    detector=MaximumLikelihoodDetector(),
+                    workers=1,
+                )
 
         return {False: build(False), True: build(True)}
 
@@ -238,17 +241,6 @@ class TestStackedMonteCarloIdentity:
             run_stack=64,
         )
         assert_statistics_identical(reference[False], stacked)
-
-    def test_loop_engine_falls_back_per_episode(self, chain9, grid9):
-        # The per-service reference engine has no stacked form; run_stack
-        # must be a silent no-op there, not an error or a drift.
-        plain = run_fleet_monte_carlo(
-            _make_sim(chain9, grid9), n_runs=2, seed=5, engine="loop", run_stack=1
-        )
-        stacked = run_fleet_monte_carlo(
-            _make_sim(chain9, grid9), n_runs=2, seed=5, engine="loop", run_stack=2
-        )
-        assert_statistics_identical(plain, stacked)
 
     def test_run_stack_validation(self, chain9, grid9):
         with pytest.raises(ValueError, match="run_stack"):
@@ -306,7 +298,7 @@ class TestStackedRunOutcome:
         assert outcome.run_stack == 3
         reports = outcome.to_reports()
         for seed, report in zip(seeds, reports, strict=True):
-            expected = _make_sim(chain9, grid9, timeline).run(seed, engine="loop")
+            expected = run_fleet_loop(_make_sim(chain9, grid9, timeline), seed)
             assert_reports_identical(expected, report)
             evaluation = expected.evaluate(chain9, MaximumLikelihoodDetector())
             got = report.evaluate(chain9, MaximumLikelihoodDetector())

@@ -9,7 +9,13 @@ import pytest
 from repro.core.eavesdropper import MaximumLikelihoodDetector
 from repro.core.game import PrivacyGame
 from repro.core.strategies import get_strategy
-from repro.sim.config import SyntheticExperimentConfig, TraceExperimentConfig
+from repro.sim.config import (
+    AdversaryExperimentConfig,
+    DynamicExperimentConfig,
+    FleetExperimentConfig,
+    SyntheticExperimentConfig,
+    TraceExperimentConfig,
+)
 from repro.sim.monte_carlo import MonteCarloRunner, run_game_monte_carlo
 from repro.sim.results import ExperimentResult, SeriesResult, to_jsonable
 from repro.sim.runner import sweep_strategies
@@ -23,9 +29,7 @@ class TestSyntheticConfig:
         assert config.n_runs == 1000
 
     def test_roundtrip_dict(self):
-        config = SyntheticExperimentConfig(
-            n_runs=50, strategies=("IM", "OO"), mobility_models=("non-skewed",)
-        )
+        config = SyntheticExperimentConfig(n_runs=50, mobility_models=("non-skewed",))
         assert SyntheticExperimentConfig.from_dict(config.to_dict()) == config
 
     def test_scaled_copy(self):
@@ -37,8 +41,6 @@ class TestSyntheticConfig:
             SyntheticExperimentConfig(n_cells=1)
         with pytest.raises(ValueError):
             SyntheticExperimentConfig(n_runs=0)
-        with pytest.raises(ValueError):
-            SyntheticExperimentConfig(strategies=())
 
 
 class TestTraceConfig:
@@ -60,6 +62,43 @@ class TestTraceConfig:
             TraceExperimentConfig(n_nodes=1)
         with pytest.raises(ValueError):
             TraceExperimentConfig(top_k_users=0)
+
+
+class TestUnknownNames:
+    """A name no experiment can resolve fails when the config is built."""
+
+    @pytest.mark.parametrize(
+        "config_cls, field, value",
+        [
+            (SyntheticExperimentConfig, "mobility_models", ("non-skewed", "nope")),
+            (TraceExperimentConfig, "strategies", ("IM", "nope")),
+            (FleetExperimentConfig, "strategy", "nope"),
+            (FleetExperimentConfig, "mobility_model", "nope"),
+            (DynamicExperimentConfig, "strategy", "nope"),
+            (DynamicExperimentConfig, "mobility_model", "nope"),
+            (DynamicExperimentConfig, "regime_model", "nope"),
+            (AdversaryExperimentConfig, "strategy", "nope"),
+            (AdversaryExperimentConfig, "mobility_model", "nope"),
+            (AdversaryExperimentConfig, "regime_model", "nope"),
+        ],
+    )
+    def test_rejected_at_construction(self, config_cls, field, value):
+        # workers=2: the name must not first be looked up inside a pool.
+        with pytest.raises(ValueError, match=f"^{field}: unknown .*'nope'") as info:
+            config_cls(**{field: value, "workers": 2})
+        assert "available: [" in str(info.value)
+
+    def test_strategy_names_are_case_insensitive(self):
+        # get_strategy resolves names case-insensitively; so does the check.
+        assert FleetExperimentConfig(strategy="im").strategy == "im"
+        assert TraceExperimentConfig(strategies=("im", "Oo")).strategies == (
+            "im",
+            "Oo",
+        )
+
+    def test_regime_model_may_be_disabled(self):
+        assert DynamicExperimentConfig(regime_model=None).regime_model is None
+        assert AdversaryExperimentConfig(regime_model=None).regime_model is None
 
 
 class TestSeriesResult:

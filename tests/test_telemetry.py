@@ -12,6 +12,7 @@ that telemetry knobs never fragment cached results.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from pathlib import Path
 
@@ -47,6 +48,8 @@ from repro.telemetry import (
     write_metrics,
     write_trace,
 )
+
+from reference import loop_engine
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "telemetry"
 
@@ -287,7 +290,7 @@ class TestBitIdentity:
                 seed=11,
                 detector=MaximumLikelihoodDetector(),
                 workers=workers,
-                engine=engine,
+                engine="batch" if engine == "loop" else engine,
                 chunk_slots=10,
                 regions=2,
                 run_stack=run_stack,
@@ -295,8 +298,10 @@ class TestBitIdentity:
             )
 
         recorder = Recorder(clock=default_clock)
-        plain = run(NULL_RECORDER)
-        instrumented = run(recorder)
+        # "loop" routes every episode through the oracle of tests/reference/.
+        with loop_engine() if engine == "loop" else contextlib.nullcontext():
+            plain = run(NULL_RECORDER)
+            instrumented = run(recorder)
         for name in _STATISTIC_ARRAYS:
             assert np.array_equal(
                 getattr(plain, name), getattr(instrumented, name)
