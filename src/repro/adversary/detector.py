@@ -7,9 +7,9 @@ adversary scores with) and a
 observation plane it sees) into an ordinary
 :class:`~repro.core.eavesdropper.detector.TrajectoryDetector`, so it
 plugs into everything the paper's ML detector plugs into — the
-single-user game, both fleet engines and the Monte-Carlo harness —
-through the existing ``detect`` / ``detect_batch`` / ``detect_crowd``
-interfaces.
+single-user game, every fleet evaluation and the Monte-Carlo harness —
+by implementing the one scoring method every detector implements,
+:meth:`~repro.core.eavesdropper.detector.TrajectoryDetector.row_scores`.
 
 Scoring.  The adversary scores with the repo's one Eq. (1) scorer and
 decision rule (:mod:`repro.core.eavesdropper.scoring`), handing it the
@@ -23,25 +23,18 @@ terms only across contiguously visible steps — the fleet's churned-plane
 rule, generalised to arbitrary masks.
 
 A naive per-row Python scorer, kept with the tests in
-``tests/reference/``, is the oracle this vectorised path is checked
-against.
+``tests/reference/``, replaces :meth:`AdversaryDetector._scores` to
+give the oracle this vectorised path is checked against.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..core.eavesdropper.detector import (
-    BatchDetectionOutcome,
-    DetectionOutcome,
-    TrajectoryDetector,
-    _decide_runs,
-    _validate_batch,
-    _validate_plane,
-)
-from ..core.eavesdropper.scoring import eq1_decide, eq1_scores
+from ..core.eavesdropper.detector import TrajectoryDetector, _join_windows
+from ..core.eavesdropper.scoring import eq1_scores
 from ..mobility.markov import MarkovChain
 from .coverage import CoverageModel, FullCoverage
 from .knowledge import KnowledgeModel, OracleKnowledge
@@ -58,7 +51,8 @@ class AdversaryDetector(TrajectoryDetector):
     knowledge:
         What the adversary knows about mobility (oracle / learned /
         stale).  Stateful knowledge (the learning adversary) observes
-        every plane this detector scores, in call order.
+        every ``(N, T)`` plane this detector scores, once and in order,
+        before scoring it.
     coverage:
         Which sites the adversary has compromised; slots outside the
         coverage are censored to ``-1`` before any scoring or learning.
@@ -76,9 +70,6 @@ class AdversaryDetector(TrajectoryDetector):
     """
 
     name = "adversary"
-    #: The fleet's churned-plane evaluation hands the whole ``-1``-marked
-    #: plane to detectors that declare this flag instead of refusing.
-    supports_censored_planes = True
 
     def __init__(
         self,
@@ -96,9 +87,30 @@ class AdversaryDetector(TrajectoryDetector):
         self.score_cache = score_cache
         self.name = f"adversary[{self.knowledge.name}/{self.coverage.name}]"
 
-    # ------------------------------------------------------------------
-    # Scoring
-    # ------------------------------------------------------------------
+    def row_scores(
+        self,
+        chain: MarkovChain,
+        windows: Iterable[np.ndarray],
+        *,
+        transition_stack: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Scores under the knowledge model, over the coverage-masked plane."""
+        observed = _join_windows(windows)
+        mask = self.coverage.visible_mask(observed, chain.n_states)
+        knowledge = self.knowledge
+        if not knowledge.stateful:
+            model_chain, model_stack = knowledge.scoring_model(chain, transition_stack)
+            return self._scores(model_chain, model_stack, observed, mask)
+        scores = []
+        for plane, plane_mask in zip(
+            observed.reshape(-1, *observed.shape[-2:]),
+            mask.reshape(-1, *mask.shape[-2:]),
+        ):
+            knowledge.observe(np.where(plane_mask, plane, -1), chain.n_states)
+            model_chain, model_stack = knowledge.scoring_model(chain, transition_stack)
+            scores.append(self._scores(model_chain, model_stack, plane, plane_mask))
+        return np.stack(scores).reshape(observed.shape[:-1])
+
     def _scores(
         self,
         chain: MarkovChain,
@@ -117,66 +129,6 @@ class AdversaryDetector(TrajectoryDetector):
             chain, [(observed, mask)], transition_stack=stack, cache=self.score_cache
         )
 
-    def _prepare(
-        self, chain: MarkovChain, observed: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The coverage mask and censored plane of a validated plane."""
-        if observed.max() >= chain.n_states:
-            raise ValueError("trajectories contain out-of-range cells")
-        mask = self.coverage.visible_mask(observed, chain.n_states)
-        censored = np.where(mask, observed, -1)
-        return observed, mask, censored
-
-    # ------------------------------------------------------------------
-    # Detector interface
-    # ------------------------------------------------------------------
-    def detect(
-        self,
-        chain: MarkovChain,
-        trajectories: np.ndarray,
-        rng: np.random.Generator,
-        *,
-        transition_stack: np.ndarray | None = None,
-    ) -> DetectionOutcome:
-        observed, mask, censored = self._prepare(chain, _validate_plane(trajectories))
-        self.knowledge.observe(censored, chain.n_states)
-        model_chain, model_stack = self.knowledge.scoring_model(
-            chain, transition_stack
-        )
-        scores = self._scores(model_chain, model_stack, observed, mask)
-        chosen, candidates = eq1_decide(scores, [rng], self.tolerance)
-        return DetectionOutcome(
-            chosen_index=int(chosen[0]), scores=scores, candidate_indices=candidates
-        )
-
-    def detect_batch(
-        self,
-        chain: MarkovChain,
-        trajectories: np.ndarray,
-        rngs: Sequence[np.random.Generator],
-        *,
-        transition_stack: np.ndarray | None = None,
-    ) -> BatchDetectionOutcome:
-        """Score a whole ``(R, N, T)`` batch.
-
-        Each run is one episode: stateful knowledge runs the scalar
-        :meth:`detect` run by run, so run ``r``'s plane is observed
-        before it is scored and batched and looped execution stay
-        bit-identical even while the adversary is learning.  Stateless
-        knowledge is scored in one vectorised shot.
-        """
-        if self.knowledge.stateful:
-            return super().detect_batch(
-                chain, trajectories, rngs, transition_stack=transition_stack
-            )
-        observed, rngs = _validate_batch(trajectories, rngs)
-        observed, mask, _ = self._prepare(chain, observed)
-        model_chain, model_stack = self.knowledge.scoring_model(
-            chain, transition_stack
-        )
-        scores = self._scores(model_chain, model_stack, observed, mask)
-        return _decide_runs(scores, rngs, self.tolerance)
-
     def detect_crowd(
         self,
         chain: MarkovChain,
@@ -187,15 +139,11 @@ class AdversaryDetector(TrajectoryDetector):
     ) -> np.ndarray:
         """Many per-user decisions over one shared observation plane.
 
-        The plane is one episode: the adversary observes it *once* (a
-        learning adversary does not get to count the same plane per
-        user) and scores it once; only the per-user tie-break draws
-        differ, exactly like the ML detector's crowd path.
+        The base implementation, restated here so the adversary's crowd
+        scoring can be timed on its own: the plane is one episode, which
+        a learning adversary observes *once* (it does not get to count
+        the same plane per user) before scoring it once.
         """
-        observed, mask, censored = self._prepare(chain, _validate_plane(trajectories))
-        self.knowledge.observe(censored, chain.n_states)
-        model_chain, model_stack = self.knowledge.scoring_model(
-            chain, transition_stack
+        return super().detect_crowd(
+            chain, trajectories, rngs, transition_stack=transition_stack
         )
-        scores = self._scores(model_chain, model_stack, observed, mask)
-        return eq1_decide(scores, list(rngs), self.tolerance)[0]

@@ -17,27 +17,18 @@ ML detection — which is exactly why the robust variants work.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
 from ...mobility.markov import MarkovChain
 from ..strategies.base import ChaffStrategy
-from .detector import (
-    BatchDetectionOutcome,
-    DetectionOutcome,
-    MaximumLikelihoodDetector,
-    TrajectoryDetector,
-    _decide_runs,
-    _validate_batch,
-    _validate_plane,
-    trajectory_log_likelihoods,
-)
+from .detector import MaximumLikelihoodDetector, _join_windows
 
 __all__ = ["StrategyAwareDetector"]
 
 
-class StrategyAwareDetector(TrajectoryDetector):
+class StrategyAwareDetector(MaximumLikelihoodDetector):
     """ML detection preceded by strategy-based chaff filtering.
 
     Parameters
@@ -56,81 +47,69 @@ class StrategyAwareDetector(TrajectoryDetector):
     def __init__(
         self, assumed_strategy: ChaffStrategy, *, tolerance: float = 1e-9
     ) -> None:
+        super().__init__(tolerance)
         self.assumed_strategy = assumed_strategy
-        self._ml = MaximumLikelihoodDetector(tolerance=tolerance)
-        # Cache of trajectory bytes -> Gamma(trajectory).  The deterministic
-        # map is expensive for the OO strategy on large cell sets and the
-        # trace-driven experiments re-present the same fleet trajectories
-        # many times, so memoisation matters there.
-        self._map_cache: dict[bytes, np.ndarray | None] = {}
+        # Memo of (chain digest, trajectory bytes) -> Gamma(trajectory).
+        # The deterministic map is expensive for the OO strategy on large
+        # cell sets and the trace-driven experiments re-present the same
+        # fleet trajectories many times, so memoisation matters there.
+        self._map_cache: dict[tuple[str, bytes], np.ndarray | None] = {}
 
-    def detect(
+    def row_scores(
         self,
         chain: MarkovChain,
-        trajectories: np.ndarray,
-        rng: np.random.Generator,
+        windows: Iterable[np.ndarray],
         *,
         transition_stack: np.ndarray | None = None,
-    ) -> DetectionOutcome:
-        observed = _validate_plane(trajectories)
-        return self.detect_batch(
-            chain, observed[None], [rng], transition_stack=transition_stack
-        ).outcome(0)
+    ) -> np.ndarray:
+        """ML scores, with the rows flagged as chaffs left unscored (``nan``).
 
-    def detect_batch(
-        self,
-        chain: MarkovChain,
-        trajectories: np.ndarray,
-        rngs: Sequence[np.random.Generator],
-        *,
-        transition_stack: np.ndarray | None = None,
-    ) -> BatchDetectionOutcome:
-        """Run the Section VI-A eavesdropper over an ``(R, N, T)`` batch.
-
-        Chaff flagging stays per run (the deterministic map is a
-        per-trajectory computation, memoised across runs), but the ML
-        stage scores the *whole* tensor in one vectorised shot instead of
-        one likelihood pass per run.  Flagged rows score ``-inf``, so each
-        run makes exactly one :func:`eq1_decide` draw — a uniform guess
-        when every row was flagged, reported with ``nan`` scores as a
-        guesser reports them.
+        Flagging is per ``(N, T)`` plane (the deterministic map is a
+        per-trajectory computation, memoised across planes and calls).
+        When every row of a plane is flagged, its decision is the
+        paper's uniform guess.
         """
-        observed, rngs = _validate_batch(trajectories, rngs)
-        flagged = np.stack([self._flag_chaffs(chain, plane) for plane in observed])
-        scores = np.where(
-            flagged,
-            -np.inf,
-            trajectory_log_likelihoods(chain, observed, transition_stack),
-        )
-        outcome = _decide_runs(scores, rngs, self._ml.tolerance)
-        scores[flagged.all(axis=1)] = np.nan
-        return outcome
-
-    # ------------------------------------------------------------------
-    def _flag_chaffs(self, chain: MarkovChain, observed: np.ndarray) -> np.ndarray:
-        """Mark trajectories recognised as the strategy's chaff of another."""
-        n = observed.shape[0]
-        flagged = np.zeros(n, dtype=bool)
+        observed = _join_windows(windows)
+        scores = super().row_scores(chain, [observed], transition_stack=transition_stack)
         if not self.assumed_strategy.is_deterministic:
             # Randomised strategies have no reproducible map: nothing can
-            # be flagged, and caching the per-trajectory ``None``s would
-            # only grow the memo across Monte-Carlo batches for nothing.
-            return flagged
-        maps: list[np.ndarray | None] = []
-        for index in range(n):
-            key = observed[index].tobytes()
+            # be flagged, and memoising their ``None``s would only grow
+            # the memo across Monte-Carlo batches.
+            return scores
+        # Deferred import: the adversary package imports the detectors.
+        from ...adversary.score_cache import chain_digest
+
+        digest = chain_digest(chain)
+        flagged = np.stack(
+            [
+                self._flag_chaffs(chain, digest, plane)
+                for plane in observed.reshape(-1, *observed.shape[-2:])
+            ]
+        )
+        return np.where(flagged.reshape(scores.shape), np.nan, scores)
+
+    # ------------------------------------------------------------------
+    def _flag_chaffs(
+        self, chain: MarkovChain, digest: str, observed: np.ndarray
+    ) -> np.ndarray:
+        """Flag the rows of one plane that are Gamma of another row.
+
+        Gamma is defined on whole trajectories, so a row with an
+        unobserved (``-1``) slot is neither mapped nor flagged.
+        """
+        flagged = np.zeros(observed.shape[0], dtype=bool)
+        for source, row in enumerate(observed):
+            if row.min() < 0:
+                continue
+            key = (digest, row.tobytes())
             if key not in self._map_cache:
                 self._map_cache[key] = self.assumed_strategy.deterministic_map(
-                    chain, observed[index]
+                    chain, row
                 )
-            maps.append(self._map_cache[key])
-        for source in range(n):
-            gamma = maps[source]
+            gamma = self._map_cache[key]
             if gamma is None:
                 continue
-            for target in range(n):
-                if target == source:
-                    continue
-                if np.array_equal(observed[target], gamma):
-                    flagged[target] = True
+            matches = np.all(observed == gamma, axis=-1)
+            matches[source] = False
+            flagged |= matches
         return flagged

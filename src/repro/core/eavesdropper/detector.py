@@ -5,14 +5,22 @@ plus ``N - 1`` chaffs) and must decide which one belongs to the user.  The
 paper's baseline eavesdropper is the maximum likelihood (ML) detector of
 Eq. (1): it knows the user's mobility model and picks the trajectory with
 the highest likelihood, breaking ties uniformly at random.
+
+Every eavesdropper in the repo ends in that same rule, so a detector is
+a score transform: it implements only
+:meth:`TrajectoryDetector.row_scores`, and the base class turns the
+scores into decisions.  The ML detector scores log-likelihoods, the
+random guesser scores no row (``nan``), the strategy-aware detector
+(:mod:`.advanced`) leaves the rows it recognises as chaffs unscored, and
+the adversary (:mod:`repro.adversary.detector`) scores under its own
+knowledge over a censored plane.
 """
 
 from __future__ import annotations
 
 import abc
-import inspect
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -62,7 +70,8 @@ class DetectionOutcome:
         Index of the trajectory the detector attributes to the user.
     scores:
         Per-trajectory decision scores (log-likelihoods for the ML
-        detector; ``nan`` for pure guessing).
+        detector; ``nan`` for rows the detector did not score, such as
+        every row of a pure guess).
     candidate_indices:
         Indices that were still in contention at decision time (after any
         filtering and tie handling).
@@ -106,23 +115,37 @@ class BatchDetectionOutcome:
         )
 
 
-def _validate_plane(trajectories: np.ndarray) -> np.ndarray:
-    observed = np.asarray(trajectories, dtype=np.int64)
-    if observed.ndim != 2 or observed.size == 0:
-        raise ValueError("trajectories must be a non-empty (N, T) array")
-    return observed
-
-
-def _validate_batch(
-    trajectories: np.ndarray, rngs: Sequence[np.random.Generator]
+def _validated(
+    chain: MarkovChain,
+    trajectories: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+    ndim: int,
 ) -> tuple[np.ndarray, list[np.random.Generator]]:
+    """An ``(N, T)`` plane or ``(R, N, T)`` batch and its generators.
+
+    Cells must lie in ``[-1, L)`` (``-1`` marks an unobserved slot).  A
+    plane needs at least one generator, a batch exactly one per run.
+    """
     observed = np.asarray(trajectories, dtype=np.int64)
-    if observed.ndim != 3 or observed.size == 0:
-        raise ValueError("trajectories must be a non-empty (R, N, T) array")
+    if observed.ndim != ndim or observed.size == 0:
+        shape = "(N, T)" if ndim == 2 else "(R, N, T)"
+        raise ValueError(f"trajectories must be a non-empty {shape} array")
+    if observed.min() < -1 or observed.max() >= chain.n_states:
+        raise ValueError("trajectories contain out-of-range cells")
     generators = list(rngs)
-    if len(generators) != observed.shape[0]:
+    if ndim == 3 and len(generators) != observed.shape[0]:
         raise ValueError("need exactly one generator per run")
+    if not generators:
+        raise ValueError("need at least one generator")
     return observed, generators
+
+
+def _join_windows(windows: Iterable[np.ndarray]) -> np.ndarray:
+    """The ``(..., N, T)`` plane of consecutive ``(..., N, w)`` slot windows."""
+    parts = [np.asarray(window, dtype=np.int64) for window in windows]
+    if not parts:
+        raise ValueError("need at least one non-empty slot window")
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
 def _decide_runs(
@@ -142,32 +165,59 @@ def _decide_runs(
 
 
 class TrajectoryDetector(abc.ABC):
-    """Base class for eavesdropper detectors."""
+    """Base class for eavesdropper detectors.
+
+    A detector is an Eq. (1) score transform: :meth:`row_scores` scores
+    every observed row, and the rows within :attr:`tolerance` of the best
+    tie, broken by one uniform draw per decision
+    (:func:`~repro.core.eavesdropper.scoring.eq1_decide`).  The three
+    decision entry points — :meth:`detect`, :meth:`detect_batch` and
+    :meth:`detect_crowd` — are implemented here once, and the fleet's
+    run-stacked and streamed evaluations call :meth:`row_scores`
+    directly, so every detector runs on every fleet plane.
+    """
 
     name: str = "abstract"
+    #: Log-score tolerance within which rows tie with the best.
+    tolerance: float
 
     @abc.abstractmethod
+    def row_scores(
+        self,
+        chain: MarkovChain,
+        windows: Iterable[np.ndarray],
+        *,
+        transition_stack: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Decision scores of every row of an ``(..., N, T)`` plane.
+
+        ``windows`` yields the plane as consecutive ``(..., N, w)`` slot
+        chunks, in time order (a whole plane is ``[plane]``); a ``-1``
+        cell marks a slot the eavesdropper did not observe.
+        ``transition_stack`` (``(T - 1, L, L)`` per-step matrices) is the
+        time-varying chain of a dynamic world, ``None`` for a static one.
+        Returns the ``(..., N)`` scores.  A row scoring ``-inf`` or
+        ``nan`` is never preferred; ``nan`` marks a row the detector did
+        not score at all, and a plane with no finite score is a uniform
+        guess.
+        """
+
     def detect(
         self,
         chain: MarkovChain,
         trajectories: np.ndarray,
         rng: np.random.Generator,
+        *,
+        transition_stack: np.ndarray | None = None,
     ) -> DetectionOutcome:
-        """Attribute one of the observed trajectories to the user.
+        """Attribute one row of an ``(N, T)`` observation plane to the user.
 
-        Parameters
-        ----------
-        chain:
-            The user's mobility model (assumed known to the eavesdropper).
-        trajectories:
-            ``(N, T)`` integer array of observed service trajectories.
-        rng:
-            Randomness source for tie breaking / guessing.
-
-        Scoring detectors additionally accept a ``transition_stack``
-        keyword (``(T - 1, L, L)`` per-step matrices) to score against a
-        time-varying chain; see :class:`MaximumLikelihoodDetector`.
+        ``chain`` is the user's mobility model, ``rng`` the randomness of
+        the tie break (or guess) and ``transition_stack`` the time-varying
+        chain :meth:`row_scores` scores under.
         """
+        observed, rngs = _validated(chain, trajectories, [rng], 2)
+        return self._decide(chain, observed, rngs, transition_stack).outcome(0)
 
     def detect_batch(
         self,
@@ -179,36 +229,12 @@ class TrajectoryDetector(abc.ABC):
     ) -> BatchDetectionOutcome:
         """Run detection over an ``(R, N, T)`` Monte-Carlo batch.
 
-        The default implementation loops :meth:`detect` with each run's own
-        generator, so every detector works with the batched engine and
-        reproduces the looped engine's decisions exactly; vectorising
-        subclasses override this.  ``transition_stack`` is forwarded only
-        when set, so detectors that cannot score time-varying chains keep
-        working in static worlds.
+        The batch is scored in one :meth:`row_scores` call; run ``r``
+        then makes exactly the one draw from ``rngs[r]`` that a scalar
+        :meth:`detect` call would.
         """
-        observed, rngs = _validate_batch(trajectories, rngs)
-        if transition_stack is None:
-            extra = {}
-        else:
-            if "transition_stack" not in inspect.signature(self.detect).parameters:
-                raise NotImplementedError(
-                    f"detector {self.name!r} cannot score a time-varying "
-                    "chain (its detect() takes no transition_stack)"
-                )
-            extra = {"transition_stack": transition_stack}
-        outcomes = [
-            self.detect(chain, observed[run], rngs[run], **extra)
-            for run in range(observed.shape[0])
-        ]
-        return BatchDetectionOutcome(
-            chosen_indices=np.array(
-                [outcome.chosen_index for outcome in outcomes], dtype=np.int64
-            ),
-            scores=np.stack([outcome.scores for outcome in outcomes], axis=0),
-            candidate_indices=tuple(
-                outcome.candidate_indices for outcome in outcomes
-            ),
-        )
+        observed, rngs = _validated(chain, trajectories, rngs, 3)
+        return self._decide(chain, observed, rngs, transition_stack)
 
     def detect_crowd(
         self,
@@ -221,24 +247,24 @@ class TrajectoryDetector(abc.ABC):
         """Many independent decisions over *one* ``(N, T)`` observation set.
 
         Used by the fleet layer: every user's eavesdropper sees the same
-        merged crowd, so only the per-decision randomness (tie breaking,
-        guessing) differs.  Decision ``k`` consumes exactly the draws a
-        scalar :meth:`detect` call with ``rngs[k]`` would, so overriding
-        implementations stay bit-identical to this default — which
-        broadcasts the crowd into :meth:`detect_batch` (a zero-copy view,
-        but detectors that score trajectories recompute the identical
-        scores per decision; those subclasses override to score once).
-
-        Returns the length-``len(rngs)`` array of chosen row indices.
+        merged crowd, so the crowd is scored once and only the
+        per-decision tie-break draws differ.  Decision ``k`` consumes
+        exactly the draw a scalar :meth:`detect` call with ``rngs[k]``
+        would.  Returns the length-``len(rngs)`` array of chosen rows.
         """
-        observed = _validate_plane(trajectories)
-        rngs = list(rngs)
-        if not rngs:
-            raise ValueError("need at least one generator")
-        crowd = np.broadcast_to(observed, (len(rngs), *observed.shape))
-        return self.detect_batch(
-            chain, crowd, rngs, transition_stack=transition_stack
-        ).chosen_indices
+        observed, rngs = _validated(chain, trajectories, rngs, 2)
+        scores = self.row_scores(chain, [observed], transition_stack=transition_stack)
+        return eq1_decide(scores, rngs, self.tolerance)[0]
+
+    def _decide(
+        self,
+        chain: MarkovChain,
+        observed: np.ndarray,
+        rngs: list[np.random.Generator],
+        transition_stack: np.ndarray | None,
+    ) -> BatchDetectionOutcome:
+        scores = self.row_scores(chain, [observed], transition_stack=transition_stack)
+        return _decide_runs(scores.reshape(len(rngs), -1), rngs, self.tolerance)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
@@ -249,7 +275,8 @@ class MaximumLikelihoodDetector(TrajectoryDetector):
 
     Ties (within ``tolerance`` in log-likelihood) are broken uniformly at
     random, matching the paper's treatment of the degenerate equal-prior
-    case.
+    case.  A plane with unobserved (``-1``) slots scores each row's
+    per-observed-slot rate (:func:`~repro.core.eavesdropper.scoring.eq1_scores`).
     """
 
     name = "ML"
@@ -259,79 +286,34 @@ class MaximumLikelihoodDetector(TrajectoryDetector):
             raise ValueError("tolerance must be non-negative")
         self.tolerance = tolerance
 
-    def detect(
+    def row_scores(
         self,
         chain: MarkovChain,
-        trajectories: np.ndarray,
-        rng: np.random.Generator,
-        *,
-        transition_stack: np.ndarray | None = None,
-    ) -> DetectionOutcome:
-        scores = trajectory_log_likelihoods(chain, trajectories, transition_stack)
-        chosen, candidates = eq1_decide(scores, [rng], self.tolerance)
-        return DetectionOutcome(
-            chosen_index=int(chosen[0]), scores=scores, candidate_indices=candidates
-        )
-
-    def detect_batch(
-        self,
-        chain: MarkovChain,
-        trajectories: np.ndarray,
-        rngs: Sequence[np.random.Generator],
-        *,
-        transition_stack: np.ndarray | None = None,
-    ) -> BatchDetectionOutcome:
-        """Score the whole ``(R, N, T)`` tensor in one vectorised shot.
-
-        Only the per-run tie-break draw still touches each run's generator
-        (it must, to keep the random streams aligned with the looped
-        engine).
-        """
-        observed, rngs = _validate_batch(trajectories, rngs)
-        scores = trajectory_log_likelihoods(chain, observed, transition_stack)
-        return _decide_runs(scores, rngs, self.tolerance)
-
-    def detect_crowd(
-        self,
-        chain: MarkovChain,
-        trajectories: np.ndarray,
-        rngs: Sequence[np.random.Generator],
+        windows: Iterable[np.ndarray],
         *,
         transition_stack: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Score the shared crowd once; only tie-breaks differ per decision.
-
-        The scores (and hence the candidate set) are identical for every
-        decision, so broadcasting them through :meth:`detect_batch` would
-        recompute the same log-likelihoods ``len(rngs)`` times.  Each
-        generator still makes exactly its one tie-break draw, keeping the
-        choices bit-identical to the broadcast path.
-        """
-        observed = _validate_plane(trajectories)
-        scores = trajectory_log_likelihoods(chain, observed, transition_stack)
-        return eq1_decide(scores, list(rngs), self.tolerance)[0]
+        return eq1_scores(
+            chain,
+            ((cells, cells >= 0) for cells in windows),
+            transition_stack=transition_stack,
+        )
 
 
 class RandomGuessDetector(TrajectoryDetector):
     """An eavesdropper with no model: guesses uniformly among trajectories."""
 
     name = "random"
+    tolerance = 0.0
 
-    def detect(
+    def row_scores(
         self,
         chain: MarkovChain,
-        trajectories: np.ndarray,
-        rng: np.random.Generator,
+        windows: Iterable[np.ndarray],
         *,
         transition_stack: np.ndarray | None = None,
-    ) -> DetectionOutcome:
-        """Guess uniformly: every row scores ``-inf`` for :func:`eq1_decide`
-        (a time-varying chain is irrelevant to a guesser)."""
-        observed = _validate_plane(trajectories)
-        n = observed.shape[0]
-        chosen, candidates = eq1_decide(np.full(n, -np.inf), [rng], 0.0)
-        return DetectionOutcome(
-            chosen_index=int(chosen[0]),
-            scores=np.full(n, np.nan),
-            candidate_indices=candidates,
-        )
+    ) -> np.ndarray:
+        """No row is scored (``nan``), so every decision is a uniform guess."""
+        for cells in windows:
+            return np.full(np.shape(cells)[:-1], np.nan)
+        raise ValueError("need at least one non-empty slot window")

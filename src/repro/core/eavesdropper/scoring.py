@@ -199,8 +199,10 @@ def eq1_decide(
     generator, in order, makes exactly one draw
     ``candidates[rng.integers(0, candidates.size)]`` — the stream
     ``rng.choice(candidates)`` consumes, so the draw order is part of the
-    seeding contract.  When every score is ``-inf`` (nothing visible,
-    every row ruled out, or a guesser that scores nothing) every row is a
+    seeding contract.  A ``nan`` score marks a row the detector did not
+    score (ruled out, or a guesser's); like ``-inf`` it is never a
+    candidate.  When no row has a finite score (nothing visible, every
+    row ruled out, or a guesser that scores nothing) every row is a
     candidate, so the draw is a uniform guess ``rng.integers(0, N)``.
 
     Returns ``(chosen, candidates)``: the length-``len(rngs)`` chosen
@@ -208,9 +210,9 @@ def eq1_decide(
     """
     if len(rngs) == 0:
         raise ValueError("need at least one generator")
-    best = float(scores.max())
+    best = float(np.fmax.reduce(scores))  # skips nan rows
     candidates: np.ndarray
-    if best == -np.inf:
+    if not best > -np.inf:
         candidates = np.arange(scores.size)
     else:
         candidates = np.flatnonzero(scores >= best - tolerance)

@@ -48,16 +48,11 @@ each other under any timeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..core.eavesdropper.detector import (
-    MaximumLikelihoodDetector,
-    RandomGuessDetector,
-    TrajectoryDetector,
-)
-from ..core.eavesdropper.scoring import eq1_decide, eq1_scores
+from ..core.eavesdropper.detector import MaximumLikelihoodDetector, TrajectoryDetector
 from ..core.strategies.base import ChaffStrategy
 from ..mobility.markov import MarkovChain
 from ..sim.parallel import get_shared, parallel_map, resolve_workers, shard_slices
@@ -324,26 +319,15 @@ class FleetReport:
                 "no evaluation seed: pass one explicitly or evaluate a "
                 "report produced by FleetSimulation.run"
             )
-        rngs = spawn_generators(seed, self.n_users)
         plane = self.observations
         traj = plane.trajectories
-        stack = self.transition_stack
+        chosen = detector.detect_crowd(
+            chain,
+            traj,
+            spawn_generators(seed, self.n_users),
+            transition_stack=self.transition_stack,
+        )
         masked = windows_censor(self.windows, self.horizon)
-        if not masked or getattr(detector, "supports_censored_planes", False):
-            # Detectors that understand -1-marked planes (the adversary
-            # layer) score a churned plane themselves, windows and all.
-            extra = {} if stack is None else {"transition_stack": stack}
-            chosen = detector.detect_crowd(chain, traj, rngs, **extra)
-        else:
-            # Rows observed over different windows score their
-            # per-observed-slot rates (a dead slot holds -1).
-            chosen = crowd_choices(
-                detector,
-                rngs,
-                plane.n_services,
-                lambda: eq1_scores(chain, [(traj, traj >= 0)], transition_stack=stack),
-                "a churned observation plane (rows observed over different windows)",
-            )
         tracked, observed = tracked_slots(
             traj[chosen],
             self.user_trajectories,
@@ -388,27 +372,6 @@ def tracked_slots(
     slots = np.arange(start, start + equal.shape[1])
     in_window = (user_windows[:, :1] <= slots) & (slots < user_windows[:, 1:])
     return (equal & in_window).sum(axis=1), in_window.sum(axis=1)
-
-
-def crowd_choices(
-    detector: TrajectoryDetector,
-    rngs: "list[np.random.Generator]",
-    n_rows: int,
-    score: "Callable[[], np.ndarray]",
-    plane: str,
-) -> np.ndarray:
-    """Per-user decisions of a shipped detector over a plane scored here.
-
-    The fleet paths that score ``plane`` themselves (churned, run-stacked
-    and streamed planes) serve the maximum-likelihood detector, whose
-    Eq. (1) scores ``score()`` computes, and the random guesser, which
-    scores every row ``-inf`` and so draws uniformly; they refuse others.
-    """
-    if isinstance(detector, RandomGuessDetector):
-        return eq1_decide(np.full(n_rows, -np.inf), rngs, 0.0)[0]
-    if not isinstance(detector, MaximumLikelihoodDetector):
-        raise NotImplementedError(f"detector {detector.name!r} cannot score {plane}")
-    return eq1_decide(score(), rngs, detector.tolerance)[0]
 
 
 class _FleetSlotKernel:
@@ -1207,8 +1170,6 @@ def _fleet_shard_worker(task) -> "tuple[list[tuple], dict | None]":
     from it and returns the recorded state alongside the metric tuples
     so the parent can merge it with worker attribution.
     """
-    from .runstack import supports_fast_metrics
-
     (
         detector,
         seed,
@@ -1225,16 +1186,15 @@ def _fleet_shard_worker(task) -> "tuple[list[tuple], dict | None]":
     metrics = []
     children = spawn_sequences_range(seed, start, stop)
     shard_token = recorder.begin("shard", start=start, stop=stop, engine=engine)
-    # Vectorised scoring reads the kernel's running cost totals, so the
-    # per-(user, slot) ledger plane is dead weight there — skip it.
-    collect = not supports_fast_metrics(detector)
+    # Metrics read the kernel's running cost totals, so the per-(user,
+    # slot) ledger plane is dead weight here — skip it.
     for base in range(0, len(children), run_stack):
         outcome = simulation.run_stacked(
             children[base : base + run_stack],
             engine=engine,
             chunk_slots=chunk_slots,
             regions=regions,
-            collect_per_slot=collect,
+            collect_per_slot=False,
             recorder=recorder,
         )
         metrics.extend(outcome.to_metrics(detector, recorder=recorder))

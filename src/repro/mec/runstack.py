@@ -28,13 +28,11 @@ Stacking is an execution knob, never a modelling change:
   order, as the per-episode path.  A stack of one skips this layer and
   drives the plain kernel with its own engine.
 * **Evaluation** scores the whole ``(S, N, T)`` stack with one
-  :func:`~repro.core.eavesdropper.scoring.eq1_scores` call for the
-  shipped scoring detectors, then makes each run's decisions with
-  :func:`~repro.core.eavesdropper.scoring.eq1_decide` from that run's
-  own evaluation seed, reproducing :meth:`FleetReport.evaluate`
-  decision by decision.  Detectors the fast path does not know fall
-  back to per-run reports and the standard evaluation, which is always
-  available through :meth:`StackedRunOutcome.to_reports`.
+  :meth:`~repro.core.eavesdropper.detector.TrajectoryDetector.row_scores`
+  call of whichever detector is evaluated, then makes each run's
+  decisions with :func:`~repro.core.eavesdropper.scoring.eq1_decide`
+  from that run's own evaluation seed, reproducing
+  :meth:`FleetReport.evaluate` decision by decision.
 
 Batch runs the slot loop (:meth:`~repro.mec.fleet._FleetSlotKernel.advance`)
 as one ``[0, T)`` window.  ``engine="stream"`` samples each run in
@@ -51,12 +49,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.eavesdropper.detector import (
-    MaximumLikelihoodDetector,
-    RandomGuessDetector,
-    TrajectoryDetector,
-)
-from ..core.eavesdropper.scoring import eq1_scores
+from ..core.eavesdropper.detector import TrajectoryDetector
+from ..core.eavesdropper.scoring import eq1_decide
 from ..sim.seeding import spawn_generators
 from ..telemetry import NULL_RECORDER
 from .costs import CostLedger
@@ -64,25 +58,13 @@ from .fleet import (
     FLEET_ENGINES,
     FleetReport,
     FleetSimulation,
-    _episode_metrics,
     _FleetSlotKernel,
-    crowd_choices,
     tracked_slots,
     windows_censor,
 )
 from .placement import PlacementEngine, PlacementStats, placement_engine
 
-__all__ = ["StackedRunOutcome", "run_stacked", "supports_fast_metrics"]
-
-
-def supports_fast_metrics(detector: "TrajectoryDetector") -> bool:
-    """Whether :meth:`StackedRunOutcome.to_metrics` can score ``detector``
-    in one vectorised shot (no per-run report materialisation).
-
-    Exactly the shipped scoring detectors qualify; subclasses may
-    override ``detect_crowd`` and must take the report fallback.
-    """
-    return type(detector) in (MaximumLikelihoodDetector, RandomGuessDetector)
+__all__ = ["StackedRunOutcome", "run_stacked"]
 
 
 class _StackedPlacement:
@@ -457,48 +439,36 @@ class StackedRunOutcome:
     ) -> list[tuple]:
         """Per-run Monte-Carlo metric tuples, without report materialisation.
 
-        The fast path serves exactly the shipped scoring detectors
-        (:class:`MaximumLikelihoodDetector`,
-        :class:`RandomGuessDetector`): the stacked plane is scored in
-        one Eq. (1) call in service-id order (scores are row-independent,
-        so permuting afterwards equals scoring the permuted plane), then
-        each run replays its tie-break draws from its own evaluation
-        seed.  Anything else falls back to :meth:`to_reports` and the
-        standard per-run evaluation.
+        The stacked plane is scored in one
+        :meth:`~repro.core.eavesdropper.detector.TrajectoryDetector.row_scores`
+        call in service-id order (a detector scores rows, not their
+        order, so permuting afterwards equals scoring the permuted
+        plane; a learning detector observes the runs in seed order),
+        then each run replays its tie-break draws from its own
+        evaluation seed.
         """
         sim = self.simulation
-        if not supports_fast_metrics(detector):
-            return [
-                _episode_metrics(sim, report, detector, recorder)
-                for report in self.to_reports()
-            ]
         with recorder.span("kernel/detect", runs=self.run_stack):
             stack_size = self.run_stack
             n_users = sim.config.n_users
             horizon = sim.config.horizon
             n_services = self.owners.size
-            masked = windows_censor(self.svc_windows, horizon)
             histories = self.histories_st.reshape(stack_size, n_services, horizon)
-            scores_all = None
-            if not isinstance(detector, RandomGuessDetector):
-                scores_all = eq1_scores(
-                    sim.chain,
-                    [(histories, histories >= 0 if masked else None)],
-                    transition_stack=sim._stack,
-                )
+            scores_all = detector.row_scores(
+                sim.chain, [histories], transition_stack=sim._stack
+            )
             real_id = np.flatnonzero(self.is_real)
+            masked = windows_censor(self.svc_windows, horizon)
             user_windows = self.svc_windows[real_id] if masked else None
             per_user_cost_st = self.mig_total + self.comm_total + self.chaff_total
             metrics = []
             for run in range(stack_size):
                 order = self.orders[run]
-                chosen = crowd_choices(
-                    detector,
+                chosen = eq1_decide(
+                    scores_all[run][order],
                     spawn_generators(self.evaluation_seeds[run], n_users),
-                    n_services,
-                    lambda run=run, order=order: scores_all[run][order],
-                    "a run stack",
-                )
+                    detector.tolerance,
+                )[0]
                 base = run * n_users
                 tracked, observed = tracked_slots(
                     histories[run][order[chosen]],
@@ -546,8 +516,8 @@ def run_stacked(
     per-(user, slot) cost series that only :meth:`StackedRunOutcome.to_reports`
     consumes — the Monte-Carlo metrics path reads the running totals
     instead, so callers headed straight for
-    :meth:`StackedRunOutcome.to_metrics`'s fast path can drop the
-    ``(S·M, T)`` ledger plane entirely.
+    :meth:`StackedRunOutcome.to_metrics` can drop the ``(S·M, T)``
+    ledger plane entirely.
     """
     if engine not in FLEET_ENGINES:
         raise ValueError(f"engine must be one of {FLEET_ENGINES}, got {engine!r}")

@@ -30,11 +30,13 @@ the *same* simulation as a disk-backed pipeline:
 :meth:`StreamingFleetReport.materialise` folds the chunks back into an
 ordinary :class:`~repro.mec.fleet.FleetReport` (bit-identical to the
 batch engine's, including evaluations) for the small-``M`` contract;
-:meth:`StreamingFleetReport.evaluate` scores detectors without ever
-materialising the plane: it feeds the stored chunks one by one to the
-Eq. (1) scorer (:func:`~repro.core.eavesdropper.scoring.eq1_scores`),
-which accumulates them as consecutive slot windows — same choices, with
-scores equal to the whole-plane ones to within float summation order.
+:meth:`StreamingFleetReport.evaluate` scores any detector from the
+stored chunks: it feeds them one by one to the detector's
+:meth:`~repro.core.eavesdropper.detector.TrajectoryDetector.row_scores`
+as consecutive slot windows.  The maximum-likelihood scorer accumulates
+them without ever materialising the plane (same choices, with scores
+equal to the whole-plane ones to within float summation order); a
+detector that needs whole rows joins the windows first.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from typing import Iterator
 import numpy as np
 
 from ..core.eavesdropper.detector import TrajectoryDetector
-from ..core.eavesdropper.scoring import eq1_scores
+from ..core.eavesdropper.scoring import eq1_decide
 from ..mobility.markov import MarkovChain
 from ..sim.cache import EpisodeStore
 from ..sim.seeding import as_seed_sequence, spawn_generators
@@ -58,7 +60,6 @@ from .fleet import (
     FleetReport,
     FleetSimulation,
     _FleetSlotKernel,
-    crowd_choices,
     materialise_full_plane,
     tracked_slots,
     windows_censor,
@@ -260,31 +261,22 @@ class StreamingFleetReport:
         """Score a detector per user without materialising the plane.
 
         The chunked counterpart of :meth:`FleetReport.evaluate`: the
-        Eq. (1) scorer accumulates the plane one stored chunk at a time
-        (scores equal the whole-plane ones up to float summation order),
-        tie-breaks consume one draw per user generator in the same order,
-        and tracking is an exact integer count.  Detector support matches
-        the churned-plane path (maximum-likelihood and random-guess
-        detectors); for other detectors, :meth:`materialise` first.
+        detector scores the plane from the stored chunks, tie-breaks
+        consume one draw per user generator in the same order, and
+        tracking is an exact integer count.
         """
         if seed is None:
             seed = self.evaluation_seed
         with self.recorder.span("kernel/detect", engine="stream"):
-            masked = windows_censor(self.svc_windows, self.horizon)
-            chosen = crowd_choices(
-                detector,
-                spawn_generators(seed, self.n_users),
-                self.n_services,
-                lambda: eq1_scores(
-                    chain,
-                    (
-                        (chunk, chunk >= 0 if masked else None)
-                        for _, _, chunk in self.iter_plane_chunks()
-                    ),
-                    transition_stack=self.simulation._stack,
-                ),
-                "a streamed plane chunk by chunk; materialise() the report first",
+            scores = detector.row_scores(
+                chain,
+                (chunk for _, _, chunk in self.iter_plane_chunks()),
+                transition_stack=self.simulation._stack,
             )
+            chosen = eq1_decide(
+                scores, spawn_generators(seed, self.n_users), detector.tolerance
+            )[0]
+            masked = windows_censor(self.svc_windows, self.horizon)
             real_rows_id = np.flatnonzero(self.is_real)
             user_windows = self.svc_windows[real_rows_id] if masked else None
             tracked = observed = 0

@@ -2,11 +2,12 @@
 
 :class:`~repro.adversary.detector.AdversaryDetector` scores a whole
 observation plane with one vectorised Eq. (1) call.  The subclass here
-scores it row by row — plain log-likelihoods when everything is visible,
-the per-observed-slot rate with transitions only across contiguously
-visible steps otherwise — plays every batch run through the scalar
-``detect``, and re-scores the crowd for every decision.  It ignores the
-score cache.  Its decisions must equal the vectorised detector's.
+scores it row by row in place of the vectorised ``_scores`` — plain
+log-likelihoods when everything is visible, the per-observed-slot rate
+with transitions only across contiguously visible steps otherwise —
+plays every batch run through the scalar ``detect``, and re-scores the
+crowd for every decision.  It ignores the score cache.  Its decisions
+must equal the vectorised detector's.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import numpy as np
 
 from repro.adversary.detector import AdversaryDetector
 from repro.core.eavesdropper.detector import (
-    TrajectoryDetector,
-    _validate_plane,
+    BatchDetectionOutcome,
     trajectory_log_likelihoods,
 )
 from repro.core.eavesdropper.scoring import eq1_decide
@@ -62,6 +62,15 @@ class LoopReferenceAdversaryDetector(AdversaryDetector):
         observed: np.ndarray,
         mask: np.ndarray,
     ) -> np.ndarray:
+        # Each (N, T) plane on its own: full visibility is a per-plane
+        # property, exactly as in the vectorised scorer.
+        if observed.ndim > 2:
+            return np.stack(
+                [
+                    self._scores(chain, stack, plane, plane_mask)
+                    for plane, plane_mask in zip(observed, mask, strict=True)
+                ]
+            )
         censored = np.where(mask, observed, -1)
         if mask.all():
             return np.array(
@@ -79,8 +88,28 @@ class LoopReferenceAdversaryDetector(AdversaryDetector):
             dtype=float,
         )
 
-    #: Every run through the scalar ``detect``, in run order.
-    detect_batch = TrajectoryDetector.detect_batch
+    def detect_batch(
+        self,
+        chain: MarkovChain,
+        trajectories: np.ndarray,
+        rngs: Sequence[np.random.Generator],
+        *,
+        transition_stack: np.ndarray | None = None,
+    ) -> BatchDetectionOutcome:
+        # Every run through the scalar ``detect``, in run order.
+        outcomes = [
+            self.detect(chain, plane, rng, transition_stack=transition_stack)
+            for plane, rng in zip(trajectories, rngs, strict=True)
+        ]
+        return BatchDetectionOutcome(
+            chosen_indices=np.array(
+                [outcome.chosen_index for outcome in outcomes], dtype=np.int64
+            ),
+            scores=np.stack([outcome.scores for outcome in outcomes]),
+            candidate_indices=tuple(
+                outcome.candidate_indices for outcome in outcomes
+            ),
+        )
 
     def detect_crowd(
         self,
@@ -92,8 +121,9 @@ class LoopReferenceAdversaryDetector(AdversaryDetector):
     ) -> np.ndarray:
         # Observe the plane once (as the vectorised path does), then
         # re-score the crowd for every decision with that decision's draw.
-        observed, mask, censored = self._prepare(chain, _validate_plane(trajectories))
-        self.knowledge.observe(censored, chain.n_states)
+        observed = np.asarray(trajectories, dtype=np.int64)
+        mask = self.coverage.visible_mask(observed, chain.n_states)
+        self.knowledge.observe(np.where(mask, observed, -1), chain.n_states)
         model_chain, model_stack = self.knowledge.scoring_model(
             chain, transition_stack
         )

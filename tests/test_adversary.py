@@ -358,6 +358,23 @@ class TestCensoredScoring:
         assert np.all(np.isneginf(outcome.scores))
         assert outcome.candidate_indices.tolist() == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize("entry", ["detect", "detect_batch", "detect_crowd"])
+    @pytest.mark.parametrize("bad_cell", [-5, "n_states"])
+    def test_malformed_cells_rejected(self, chain, entry, bad_cell):
+        # -1 marks an unobserved slot; any other negative cell (or one
+        # past the chain) is malformed, not a hidden slot.
+        cell = chain.n_states if bad_cell == "n_states" else bad_cell
+        plane = np.array([[0, 1, cell, 2], [0, 1, 2, 3]], dtype=np.int64)
+        adversary = AdversaryDetector(OracleKnowledge(), SiteCoverage(0.5, 0))
+        rng = np.random.default_rng(0)
+        calls = {
+            "detect": lambda: adversary.detect(chain, plane, rng),
+            "detect_batch": lambda: adversary.detect_batch(chain, plane[None], [rng]),
+            "detect_crowd": lambda: adversary.detect_crowd(chain, plane, [rng, rng]),
+        }
+        with pytest.raises(ValueError, match="out-of-range"):
+            calls[entry]()
+
     def test_partial_coverage_scores_only_visible_slots(self, chain):
         coverage = SiteCoverage(0.3, 2)
         cells = coverage.compromised_cells(chain.n_states)

@@ -14,6 +14,7 @@ from repro.core.eavesdropper import (
 from repro.core.game import PrivacyGame
 from repro.core.strategies import get_strategy
 from repro.analysis.metrics import aggregate_episodes
+from repro.mobility.markov import MarkovChain
 
 
 class TestTrajectoryLogLikelihoods:
@@ -142,6 +143,27 @@ class TestStrategyAwareDetector:
         outcome = detector.detect(skewed_chain, observed, rng)
         assert outcome.chosen_index in (0, 1)
         assert np.all(np.isnan(outcome.scores))
+
+    def test_map_memo_is_keyed_on_the_chain(self):
+        """A detector reused under a second chain must not reuse the first
+        chain's Gamma: the second chain's ML chaff is still unmasked."""
+
+        def skewed_to(cell):
+            matrix = np.full((4, 4), 0.1)
+            matrix[:, cell] = 0.7
+            return MarkovChain(matrix)
+
+        ml_strategy = get_strategy("ML")
+        user = np.array([1, 3, 1, 3, 1, 3])
+        reused = StrategyAwareDetector(ml_strategy)
+        for chain in (skewed_to(0), skewed_to(2)):
+            observed = np.stack([user, ml_strategy.deterministic_map(chain, user)])
+            outcome = reused.detect(chain, observed, np.random.default_rng(0))
+            fresh = StrategyAwareDetector(ml_strategy).detect(
+                chain, observed, np.random.default_rng(0)
+            )
+            assert outcome.chosen_index == fresh.chosen_index == 0
+            assert not np.isfinite(outcome.scores[1])
 
     def test_rml_defeats_aware_detector_more_than_ml(self, random_chain):
         """The robust RML strategy should evade the ML-aware detector far

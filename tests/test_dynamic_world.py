@@ -816,28 +816,12 @@ class TestReviewRegressions:
     """Regressions for review findings on the dynamic-world refactor."""
 
     def test_stack_unaware_detector_raises_cleanly(self, chain9, regime9):
-        # A regime-only (unmasked) report handed to a detector whose
-        # detect() cannot score a time-varying chain must raise a clear
-        # NotImplementedError, not a TypeError from kwarg forwarding.
-        # (The strategy-aware detector used to be the example here; it is
-        # stack-aware now, so the regression is pinned with a stub and
-        # the advanced eavesdropper asserted to evaluate cleanly.)
+        # A regime-only (unmasked) report handed to the Section VI-A
+        # eavesdropper: it scores the time-varying chain and evaluates
+        # cleanly.  (Every detector is a row_scores transform that takes
+        # the transition stack, so a stack-unaware detector cannot be
+        # defined any more.)
         from repro.core.eavesdropper.advanced import StrategyAwareDetector
-        from repro.core.eavesdropper.detector import (
-            DetectionOutcome,
-            TrajectoryDetector,
-        )
-
-        class StackUnawareDetector(TrajectoryDetector):
-            name = "stack-unaware"
-
-            def detect(self, chain, trajectories, rng):
-                observed = np.asarray(trajectories, dtype=np.int64)
-                return DetectionOutcome(
-                    chosen_index=0,
-                    scores=np.zeros(observed.shape[0]),
-                    candidate_indices=np.arange(observed.shape[0]),
-                )
 
         topology = MECTopology.from_grid(GridTopology(3, 3), capacity=4)
         simulation = FleetSimulation(
@@ -851,10 +835,6 @@ class TestReviewRegressions:
         )
         report = simulation.run(0)
         assert report.transition_stack is not None
-        with pytest.raises(NotImplementedError, match="time-varying"):
-            report.evaluate(chain9, StackUnawareDetector())
-        # The Section VI-A eavesdropper is stack-aware now and scores the
-        # regime report without complaint.
         evaluation = report.evaluate(
             chain9, StrategyAwareDetector(get_strategy("IM"))
         )

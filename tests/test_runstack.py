@@ -48,7 +48,6 @@ from repro.mec.fleet import (
     FleetSimulationConfig,
     run_fleet_monte_carlo,
 )
-from repro.mec.runstack import supports_fast_metrics
 from repro.mec.topology import MECTopology
 from repro.mobility.grid import GridTopology
 from repro.mobility.models import paper_synthetic_models
@@ -328,12 +327,6 @@ class TestStackedRunOutcome:
         ):
             for a, b in zip(want, have, strict=True):
                 assert np.array_equal(a, b)
-
-    def test_supports_fast_metrics_surface(self):
-        assert supports_fast_metrics(MaximumLikelihoodDetector())
-        assert supports_fast_metrics(RandomGuessDetector())
-        adversary = AdversaryDetector(make_knowledge("oracle"), FullCoverage())
-        assert not supports_fast_metrics(adversary)
 
     def test_rejects_empty_and_bad_engine(self, chain9, grid9):
         sim = _make_sim(chain9, grid9)

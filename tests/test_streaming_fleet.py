@@ -308,20 +308,6 @@ class TestIncrementalEvaluate:
         finally:
             streamed.close()
 
-    def test_unsupported_detector_points_at_materialise(self, chain9, grid9):
-        streamed = StreamingFleetEngine(
-            _make_sim(chain9, grid9), chunk_slots=7
-        ).run(5)
-
-        class _Opaque:
-            name = "opaque"
-
-        try:
-            with pytest.raises(NotImplementedError, match="materialise"):
-                streamed.evaluate(chain9, _Opaque())
-        finally:
-            streamed.close()
-
 
 # ----------------------------------------------------------------------
 # Resumable episodes

@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core.eavesdropper import StrategyAwareDetector
 from repro.core.eavesdropper.detector import MaximumLikelihoodDetector
 from repro.core.strategies import get_strategy
 from repro.experiments.registry import run_experiment
@@ -342,15 +341,17 @@ class TestBitIdentity:
         assert recorder.counters["placement/admitted"] > 0
 
     def test_refused_stream_evaluation_closes_its_span(self, chain9):
+        class _FailingDetector(MaximumLikelihoodDetector):
+            def row_scores(self, chain, windows, *, transition_stack=None):
+                raise RuntimeError("scoring failed")
+
         recorder = Recorder(clock=FakeClock())
         streamed = StreamingFleetEngine(
             _simulation(chain9), chunk_slots=10, recorder=recorder
         ).run(5)
         try:
-            with pytest.raises(NotImplementedError):
-                streamed.evaluate(
-                    chain9, StrategyAwareDetector(get_strategy("ML"))
-                )
+            with pytest.raises(RuntimeError, match="scoring failed"):
+                streamed.evaluate(chain9, _FailingDetector())
         finally:
             streamed.close()
         with recorder.span("after"):
