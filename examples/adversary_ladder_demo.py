@@ -28,8 +28,6 @@ from repro.adversary import (
 )
 from repro.core.strategies import get_strategy
 from repro.mec.fleet import FleetSimulation, FleetSimulationConfig
-from repro.mec.observer import censor_observations
-from repro.mec.simulator import MECSimulation, MECSimulationConfig
 from repro.mec.topology import MECTopology
 from repro.mobility.grid import GridTopology
 from repro.mobility.models import paper_synthetic_models
@@ -66,33 +64,28 @@ def build_simulation() -> FleetSimulation:
 
 
 def single_user_censoring_demo() -> None:
-    """Coverage censoring on the single-user pipeline.
+    """Coverage censoring on a one-user (``M = 1``) fleet.
 
     A partial adversary of the classic one-user game: the observation
-    matrix is censored to the compromised sites before detection, and
+    plane is censored to the compromised sites before detection, and
     the adversary detector scores the remaining glimpses.
     """
-    import numpy as np
-
     chain = paper_synthetic_models(N_CELLS, seed=SEED)["non-skewed"]
-    simulation = MECSimulation(
+    simulation = FleetSimulation(
         MECTopology.from_grid(GridTopology(5, 5), capacity=8),
         chain,
         strategy=get_strategy("IM"),
-        config=MECSimulationConfig(horizon=HORIZON, n_chaffs=2),
+        config=FleetSimulationConfig(n_users=1, horizon=HORIZON, n_chaffs=2),
     )
-    report = simulation.run(np.random.default_rng(SEED))
+    report = simulation.run(SEED)
     coverage = SiteCoverage(0.3, SEED)
-    censored = censor_observations(report.observations, coverage, N_CELLS)
-    hidden = float((censored.trajectories == -1).mean())
+    censored = coverage.censor(report.observations.trajectories, N_CELLS)
+    hidden = float((censored == -1).mean())
     adversary = AdversaryDetector(make_knowledge("oracle"), coverage)
-    outcome = adversary.detect(
-        chain, report.observations.trajectories, np.random.default_rng(0)
-    )
+    found = report.evaluate(chain, adversary).detected_per_user[0]
     print(
         f"single-user game, 30% site coverage: {hidden:.0%} of the plane "
-        f"censored, detector {'found' if outcome.chosen_index == report.observations.user_row else 'missed'} "
-        "the user\n"
+        f"censored, detector {'found' if found else 'missed'} the user\n"
     )
 
 

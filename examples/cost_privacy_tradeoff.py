@@ -2,11 +2,11 @@
 """Cost-privacy trade-off: how much privacy does a chaff budget buy?
 
 The paper's discussion section defers a detailed study of the cost of
-running chaff services.  This example performs that study on the full MEC
-simulator: for increasing chaff budgets and for two strategies (IM and the
-robust ROO), it reports the eavesdropper's tracking accuracy together with
-the total cost charged to the user (migration + communication + chaff
-running costs).
+running chaff services.  This example performs that study on one-user
+(``M = 1``) runs of the MEC fleet simulator: for increasing chaff budgets
+and for two strategies (IM and the robust ROO), it reports the
+eavesdropper's tracking accuracy together with the total cost charged to
+the user (migration + communication + chaff running costs).
 
 Run with::
 
@@ -17,31 +17,34 @@ from __future__ import annotations
 
 import argparse
 
-import numpy as np
-
 from repro import MaximumLikelihoodDetector, get_strategy, paper_synthetic_models
-from repro.mec import CostModel, MECSimulation, MECSimulationConfig, MECTopology
-from repro.sim.seeding import spawn_generators
+from repro.mec import (
+    CostModel,
+    FleetSimulation,
+    FleetSimulationConfig,
+    MECTopology,
+    run_fleet_monte_carlo,
+)
+from repro.sim.seeding import as_seed_sequence
 
 
 def evaluate(chain, topology, strategy_name, n_chaffs, horizon, n_runs, seed):
     """Mean (tracking accuracy, total cost) over Monte-Carlo runs."""
-    strategy = get_strategy(strategy_name) if n_chaffs > 0 else None
-    simulation = MECSimulation(
+    simulation = FleetSimulation(
         topology,
         chain,
-        strategy=strategy,
+        strategy=get_strategy(strategy_name),
         cost_model=CostModel(chaff_running_cost=0.5),
-        config=MECSimulationConfig(horizon=horizon, n_chaffs=n_chaffs),
+        config=FleetSimulationConfig(n_users=1, horizon=horizon, n_chaffs=n_chaffs),
     )
-    detector = MaximumLikelihoodDetector()
-    accuracies, costs = [], []
-    for rng in spawn_generators(seed, n_runs, key="cost-privacy"):
-        report = simulation.run(rng)
-        outcome = report.evaluate(chain, detector, rng)
-        accuracies.append(outcome["tracking_accuracy"])
-        costs.append(outcome["total_cost"])
-    return float(np.mean(accuracies)), float(np.mean(costs))
+    stats = run_fleet_monte_carlo(
+        simulation,
+        n_runs=n_runs,
+        seed=as_seed_sequence(seed, key="cost-privacy"),
+        detector=MaximumLikelihoodDetector(),
+        run_stack=n_runs,  # all runs advance through one pass of the slot kernel
+    )
+    return stats.mean_tracking, stats.mean_cost_per_user
 
 
 def main() -> None:

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """MEC simulator demo: services, migrations, costs and the observation plane.
 
-Shows the substrate the paper's threat model lives in.  A user moves over a
-ring of MEC cells; his delay-sensitive service follows him (always-follow
-migration); a chaff orchestrator steers one chaff service per the OO
-strategy; a cyber eavesdropper observes every service's cell occupancy and
-runs ML detection.  The run also accounts for migration, communication and
-chaff costs, and compares migration policies on the cost/QoS axis.
+Shows the substrate the paper's threat model lives in, as a one-user
+(``M = 1``) run of the MEC fleet simulator.  A user moves over a ring of MEC
+cells; their delay-sensitive service follows them (always-follow
+migration); one chaff service is steered along the OO strategy's plan; a
+cyber eavesdropper observes every service's cell occupancy and runs ML
+detection.  The run also accounts for migration, communication and chaff
+costs, and compares migration policies on the cost/QoS axis.
 
 Run with::
 
@@ -22,41 +23,42 @@ from repro.mec import (
     AlwaysFollowPolicy,
     CostModel,
     DistanceThresholdPolicy,
+    FleetSimulation,
+    FleetSimulationConfig,
     MDPMigrationPolicy,
-    MECSimulation,
-    MECSimulationConfig,
     MECTopology,
     NeverMigratePolicy,
 )
-from repro.sim.seeding import spawn_generators
+from repro.sim.seeding import spawn_sequences
 
 
 def main() -> None:
     n_cells = 10
     chain = paper_synthetic_models(n_cells, seed=2017)["temporally-skewed"]
     topology = MECTopology.ring(n_cells)
-    rng = np.random.default_rng(7)
 
     # --- One protected run: always-follow service + one OO chaff ----------
-    simulation = MECSimulation(
+    simulation = FleetSimulation(
         topology,
         chain,
         strategy=get_strategy("OO"),
         policy=AlwaysFollowPolicy(),
-        config=MECSimulationConfig(horizon=60, n_chaffs=1),
+        config=FleetSimulationConfig(n_users=1, horizon=60, n_chaffs=1),
     )
-    report = simulation.run(rng)
-    outcome = report.evaluate(chain, MaximumLikelihoodDetector(), rng)
+    report = simulation.run(7)
+    outcome = report.evaluate(chain, MaximumLikelihoodDetector())
+    ledger = report.ledgers[0]
+    plane = report.observations
 
     print("Protected run (always-follow service, 1 OO chaff, 60 slots)")
-    print(f"  migrations performed:      {report.ledger.migrations}")
-    print(f"  migration cost:            {report.ledger.migration_total:.1f}")
-    print(f"  communication cost:        {report.ledger.communication_total:.1f}")
-    print(f"  chaff running cost:        {report.ledger.chaff_total:.1f}")
+    print(f"  migrations performed:      {ledger.migrations}")
+    print(f"  migration cost:            {ledger.migration_total:.1f}")
+    print(f"  communication cost:        {ledger.communication_total:.1f}")
+    print(f"  chaff running cost:        {ledger.chaff_total:.1f}")
     print(f"  total cost:                {report.total_cost:.1f}")
-    print(f"  eavesdropper tracking:     {outcome['tracking_accuracy']:.2f}")
-    print(f"  eavesdropper detection:    {outcome['detection_accuracy']:.0f}")
-    print(f"  migration events observed: {len(report.events)}")
+    print(f"  eavesdropper tracking:     {outcome.tracking_per_user[0]:.2f}")
+    print(f"  eavesdropper detection:    {outcome.detected_per_user[0]:.0f}")
+    print(f"  observation plane:         {plane.n_services} services x {plane.horizon} slots")
     print()
 
     # --- Migration policy comparison (no chaffs) ---------------------------
@@ -69,20 +71,25 @@ def main() -> None:
     }
     print("Migration policy comparison (20 runs each, no chaffs)")
     print(f"{'policy':>15} {'total cost':>12} {'co-location':>12}")
+    run_seeds = spawn_sequences(100, 20, key="migration-demo")
     for name, policy in policies.items():
-        simulation = MECSimulation(
+        simulation = FleetSimulation(
             topology,
             chain,
             policy=policy,
             cost_model=cost_model,
-            config=MECSimulationConfig(horizon=60, n_chaffs=0),
+            config=FleetSimulationConfig(n_users=1, horizon=60, n_chaffs=0),
         )
-        costs, colocations = [], []
-        for run_rng in spawn_generators(100, 20, key="migration-demo"):
-            run_report = simulation.run(run_rng)
-            costs.append(run_report.total_cost)
-            service = np.asarray(run_report.real_service.location_history)
-            colocations.append(float(np.mean(service == run_report.user_trajectory)))
+        # All 20 runs advance as one stack; every policy replays the same seeds.
+        reports = simulation.run_stacked(run_seeds).to_reports()
+        costs = [run_report.total_cost for run_report in reports]
+        colocations = [
+            np.mean(
+                run_report.observations.user_trajectory(0)
+                == run_report.user_trajectories[0]
+            )
+            for run_report in reports
+        ]
         print(f"{name:>15} {np.mean(costs):12.1f} {np.mean(colocations):12.2f}")
 
     print()

@@ -7,11 +7,13 @@ extensions the paper defers to future work:
   chaffs, compared against the closed form of Eq. (11) (the limit
   ``sum pi^2`` shows why more IM chaffs eventually stop helping);
 * **cost-privacy trade-off** — tracking accuracy versus total MEC cost as
-  the number of chaffs grows, using the full MEC simulator and its cost
-  ledger (Section VIII's deferred study);
+  the number of chaffs grows, using one-user (``M = 1``) runs of the MEC
+  fleet simulator and its per-user cost ledger (Section VIII's deferred
+  study);
 * **migration-policy comparison** — cost and user/service co-location of
   the always-follow policy against lazy and MDP-based cost-optimal
-  baselines from the related service-migration literature.
+  baselines from the related service-migration literature, on the same
+  one-user fleet runs.
 
 All randomness derives from children spawned off the config's master
 :class:`~numpy.random.SeedSequence` (no ``seed + offset`` arithmetic, so
@@ -31,13 +33,13 @@ from ..core.game import PrivacyGame
 from ..core.strategies.base import get_strategy
 from ..core.strategies.rollout import RolloutOnlineStrategy
 from ..mec.costs import CostModel
+from ..mec.fleet import FleetSimulation, FleetSimulationConfig, run_fleet_monte_carlo
 from ..mec.policies import (
     AlwaysFollowPolicy,
     DistanceThresholdPolicy,
     MDPMigrationPolicy,
     NeverMigratePolicy,
 )
-from ..mec.simulator import MECSimulation, MECSimulationConfig
 from ..mec.topology import MECTopology
 from ..mobility.models import paper_synthetic_models
 from ..sim.config import SyntheticExperimentConfig
@@ -122,18 +124,23 @@ def run_chaff_budget_sweep(
     )
 
 
+def _require_runs(n_runs: int) -> None:
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be positive, got {n_runs}")
+
+
 def _cost_privacy_point(task) -> tuple[float, float]:
     """Mean (tracking accuracy, total cost) for one chaff budget."""
-    simulation, chain, n_runs, child = task
-    detector = MaximumLikelihoodDetector()
-    accuracies = []
-    costs = []
-    for rng in spawn_generators(child, n_runs):
-        report = simulation.run(rng)
-        outcome = report.evaluate(chain, detector, rng)
-        accuracies.append(outcome["tracking_accuracy"])
-        costs.append(outcome["total_cost"])
-    return float(np.mean(accuracies)), float(np.mean(costs))
+    simulation, n_runs, child = task
+    # One stack: all runs advance through a single pass of the slot kernel.
+    stats = run_fleet_monte_carlo(
+        simulation,
+        n_runs=n_runs,
+        seed=child,
+        detector=MaximumLikelihoodDetector(),
+        run_stack=n_runs,
+    )
+    return stats.mean_tracking, stats.mean_cost_per_user
 
 
 def run_cost_privacy_tradeoff(
@@ -144,6 +151,9 @@ def run_cost_privacy_tradeoff(
     n_runs: int = 20,
 ) -> ExperimentResult:
     """Tracking accuracy versus total MEC cost as chaffs are added."""
+    _require_runs(n_runs)
+    if not chaff_counts:
+        raise ValueError("chaff_counts must list at least one chaff budget")
     config = config or SyntheticExperimentConfig()
     models = paper_synthetic_models(
         config.n_cells, seed=config.seed, backend=config.backend
@@ -154,16 +164,22 @@ def run_cost_privacy_tradeoff(
     children = spawn_sequences(
         config.seed, len(chaff_counts), key="ablation-cost-privacy"
     )
-    tasks = []
-    for child, n_chaffs in zip(children, chaff_counts, strict=True):
-        strategy = get_strategy(strategy_name) if n_chaffs > 0 else None
-        simulation = MECSimulation(
-            topology,
-            chain,
-            strategy=strategy,
-            config=MECSimulationConfig(horizon=config.horizon, n_chaffs=n_chaffs),
+    strategy = get_strategy(strategy_name)
+    tasks = [
+        (
+            FleetSimulation(
+                topology,
+                chain,
+                strategy=strategy,
+                config=FleetSimulationConfig(
+                    n_users=1, horizon=config.horizon, n_chaffs=n_chaffs
+                ),
+            ),
+            n_runs,
+            child,
         )
-        tasks.append((simulation, chain, n_runs, child))
+        for child, n_chaffs in zip(children, chaff_counts, strict=True)
+    ]
     points = parallel_map(_cost_privacy_point, tasks, workers=config.workers)
     accuracy_series = [accuracy for accuracy, _ in points]
     cost_series = [cost for _, cost in points]
@@ -193,16 +209,13 @@ def run_cost_privacy_tradeoff(
 def _migration_policy_point(task) -> tuple[float, float]:
     """Mean (total cost, co-location fraction) of one migration policy."""
     simulation, children = task
-    costs = []
-    colocations = []
-    # Every policy replays the same per-run children (paired comparison);
-    # ``default_rng`` derives a fresh generator without consuming the child.
-    for child in children:
-        rng = np.random.default_rng(child)
-        report = simulation.run(rng)
-        costs.append(report.total_cost)
-        service_cells = np.asarray(report.real_service.location_history)
-        colocations.append(float(np.mean(service_cells == report.user_trajectory)))
+    # Every policy replays the same per-run children (paired comparison).
+    reports = simulation.run_stacked(children).to_reports()
+    colocations = [
+        np.mean(report.observations.user_trajectory(0) == report.user_trajectories[0])
+        for report in reports
+    ]
+    costs = [report.total_cost for report in reports]
     return float(np.mean(costs)), float(np.mean(colocations))
 
 
@@ -210,6 +223,7 @@ def run_migration_policy_comparison(
     config: SyntheticExperimentConfig | None = None, *, n_runs: int = 20
 ) -> ExperimentResult:
     """Compare migration policies on cost and user/service co-location."""
+    _require_runs(n_runs)
     config = config or SyntheticExperimentConfig()
     models = paper_synthetic_models(
         config.n_cells, seed=config.seed, backend=config.backend
@@ -228,17 +242,20 @@ def run_migration_policy_comparison(
     run_children = spawn_sequences(
         config.seed, n_runs, key="ablation-migration-policies"
     )
-    tasks = []
-    for policy_name in policy_names:
-        simulation = MECSimulation(
-            topology,
-            chain,
-            strategy=None,
-            policy=policies[policy_name],
-            cost_model=cost_model,
-            config=MECSimulationConfig(horizon=config.horizon, n_chaffs=0),
+    one_user = FleetSimulationConfig(n_users=1, horizon=config.horizon, n_chaffs=0)
+    tasks = [
+        (
+            FleetSimulation(
+                topology,
+                chain,
+                policy=policies[policy_name],
+                cost_model=cost_model,
+                config=one_user,
+            ),
+            run_children,
         )
-        tasks.append((simulation, run_children))
+        for policy_name in policy_names
+    ]
     points = parallel_map(_migration_policy_point, tasks, workers=config.workers)
     cost_values = [cost for cost, _ in points]
     colocation_values = [colocation for _, colocation in points]
@@ -370,6 +387,7 @@ def run_online_eavesdropper_comparison(
     Compares the paper's offline ML detector with the prefix-ML and
     Bayesian-posterior online trackers, all against the same chaff strategy.
     """
+    _require_runs(n_runs)
     config = config or SyntheticExperimentConfig()
     models = paper_synthetic_models(
         config.n_cells, seed=config.seed, backend=config.backend

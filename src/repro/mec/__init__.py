@@ -1,4 +1,10 @@
-"""MEC substrate: topology, services, migration, costs and the observer."""
+"""MEC substrate: topology, services, costs, migration policies and the fleet.
+
+Every MEC run, one user or many, goes through :class:`FleetSimulation`; a
+single-user run is a fleet of ``M = 1``.  Its report carries the service
+records (:class:`ServiceInstance`), one :class:`CostLedger` per user and
+the eavesdropper's :class:`FleetObservationPlane`.
+"""
 
 from .topology import EdgeSite, MECTopology
 from .service import ServiceIdAllocator, ServiceInstance, ServiceKind
@@ -10,16 +16,12 @@ from .policies import (
     MigrationPolicy,
     NeverMigratePolicy,
 )
-from .migration import MigrationEngine, MigrationEvent
-from .observer import EavesdropperObserver, ObservationMatrix
-from .orchestrator import ChaffOrchestrator, ChaffPlan
 from .placement import (
     PlacementEngine,
     PlacementStats,
     RegionPartition,
     ShardedPlacementEngine,
 )
-from .simulator import MECSimulation, MECSimulationConfig, MECSimulationReport
 from .fleet import (
     FleetEvaluation,
     FleetObservationPlane,
@@ -45,19 +47,10 @@ __all__ = [
     "MDPMigrationPolicy",
     "MigrationPolicy",
     "NeverMigratePolicy",
-    "MigrationEngine",
-    "MigrationEvent",
-    "EavesdropperObserver",
-    "ObservationMatrix",
-    "ChaffOrchestrator",
-    "ChaffPlan",
     "PlacementEngine",
     "PlacementStats",
     "RegionPartition",
     "ShardedPlacementEngine",
-    "MECSimulation",
-    "MECSimulationConfig",
-    "MECSimulationReport",
     "FleetEvaluation",
     "FleetObservationPlane",
     "FleetReport",

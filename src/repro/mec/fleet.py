@@ -1,11 +1,11 @@
-"""Multi-user, capacity-aware MEC fleet simulation.
+"""Multi-user, capacity-aware MEC fleet simulation: the one MEC simulator.
 
-The single-user :class:`~repro.mec.simulator.MECSimulation` plays one user
-against an eavesdropper that only ever sees that user's services.  The
-paper's threat model, however, lives in a *shared* deployment: many users'
-services co-hosted on the same edge sites, competing for site capacity,
-and all visible on one observation plane.  This module simulates that
-regime:
+The paper's system view (Section II) is one user, their real service, its
+chaffs and an eavesdropper watching migrations between MECs.  Its threat
+model, however, lives in a *shared* deployment: many users' services
+co-hosted on the same edge sites, competing for site capacity, and all
+visible on one observation plane.  This module simulates that regime, and
+the single-user setting is its ``M = 1`` case:
 
 * ``M`` users with heterogeneous chaff budgets (and optionally per-user
   strategies and start cells) share one :class:`~repro.mec.topology.MECTopology`;

@@ -9,7 +9,10 @@ so no configuration can select them:
 * :mod:`reference.fleet` — the per-user, per-service fleet walk, plus a
   context manager routing whole fleet experiments through it;
 * :mod:`reference.adversary` — the per-row Python scorer of the
-  knowledge x coverage adversary.
+  knowledge x coverage adversary;
+* :mod:`reference.single_user` — the per-object single-user MEC
+  simulator (migration engine, chaff orchestrator, eavesdropper
+  observer) that an ``M = 1`` fleet reproduces bit for bit.
 
 ``tests/conftest.py`` and ``benchmarks/conftest.py`` put ``tests/`` on
 ``sys.path``, so both suites import this package as ``reference``.

@@ -47,8 +47,6 @@ from repro.core.strategies import get_strategy
 from repro.experiments.adversary import run_adversary_experiment
 from repro.experiments.registry import run_experiment
 from repro.mec.fleet import FleetSimulation, FleetSimulationConfig
-from repro.mec.observer import EavesdropperObserver, censor_observations
-from repro.mec.simulator import MECSimulation, MECSimulationConfig
 from repro.mec.topology import MECTopology
 from repro.mobility.grid import GridTopology
 from repro.mobility.models import paper_synthetic_models
@@ -58,6 +56,12 @@ from repro.sim.seeding import spawn_generators
 from repro.world.generators import dynamic_timeline
 
 from reference import LoopReferenceAdversaryDetector, loop_engine, run_fleet
+from reference.single_user import (
+    EavesdropperObserver,
+    MECSimulation,
+    MECSimulationConfig,
+    censor_observations,
+)
 
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
 

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10: pytest's own TOML dependency
+    import tomli as tomllib
 
 import repro
 from repro.cli import build_parser, main
@@ -15,6 +22,20 @@ from repro.sim.results import ExperimentResult
 class TestPackageSurface:
     def test_version_string(self):
         assert repro.__version__.count(".") == 2
+
+    def test_pyproject_hands_setuptools_the_package_version(self):
+        """The distribution version is ``repro.__version__`` (the cache key's)."""
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        metadata = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+        project = metadata["project"]
+        if "version" in project:
+            version = project["version"]
+        else:
+            assert "version" in project.get("dynamic", [])
+            attr = metadata["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+            module, _, name = attr.rpartition(".")
+            version = getattr(importlib.import_module(module), name)
+        assert version == repro.__version__
 
     def test_public_names_importable(self):
         for name in repro.__all__:

@@ -21,6 +21,7 @@ from repro.experiments import (
     run_fig7,
     run_migration_policy_comparison,
 )
+from repro.experiments.ablations import run_online_eavesdropper_comparison
 from repro.sim.config import SyntheticExperimentConfig
 from repro.sim.results import ExperimentResult
 
@@ -213,3 +214,19 @@ class TestAblations:
         # The MDP policy is cost-aware: never more expensive than blind
         # always-follow by more than noise.
         assert result.scalars["mdp/cost"] <= result.scalars["always-follow/cost"] * 1.2
+
+    @pytest.mark.parametrize(
+        "runner",
+        [
+            run_migration_policy_comparison,
+            run_cost_privacy_tradeoff,
+            run_online_eavesdropper_comparison,
+        ],
+    )
+    def test_zero_runs_rejected(self, runner):
+        with pytest.raises(ValueError, match="n_runs"):
+            runner(TINY, n_runs=0)
+
+    def test_empty_chaff_counts_rejected(self):
+        with pytest.raises(ValueError, match="chaff_counts"):
+            run_cost_privacy_tradeoff(TINY, chaff_counts=())

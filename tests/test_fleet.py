@@ -33,11 +33,8 @@ from repro.mec.fleet import (
     FleetSimulationConfig,
     run_fleet_monte_carlo,
 )
-from repro.mec.observer import EavesdropperObserver
-from repro.mec.orchestrator import ChaffOrchestrator
 from repro.mec.placement import PlacementEngine
 from repro.mec.service import ServiceIdAllocator, ServiceInstance, ServiceKind
-from repro.mec.simulator import MECSimulation, MECSimulationConfig
 from repro.mec.topology import MECTopology
 from repro.mobility.grid import GridTopology
 from repro.mobility.models import paper_synthetic_models
@@ -45,6 +42,13 @@ from repro.sim.cache import ResultCache
 from repro.sim.config import FleetExperimentConfig
 
 from reference import loop_engine, run_fleet, run_fleet_loop
+from reference.single_user import (
+    ChaffOrchestrator,
+    EavesdropperObserver,
+    MECSimulation,
+    MECSimulationConfig,
+    MigrationEngine,
+)
 
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
 
@@ -196,7 +200,6 @@ class TestServiceIdAllocator:
         )
         topology = MECTopology.complete(chain.n_states)
         from repro.mec.costs import CostModel as _CostModel
-        from repro.mec.migration import MigrationEngine
         from repro.mec.policies import AlwaysFollowPolicy
 
         engine = MigrationEngine(
@@ -703,7 +706,7 @@ class TestSaturatedTopology:
 
 
 class TestSingleUserEquivalence:
-    """Satellite: M=1 empty-timeline fleet == single-user MECSimulation.
+    """M=1 empty-timeline fleet == the single-user ``MECSimulation`` oracle.
 
     The regression anchor of the dynamic-world refactor: one user on an
     uncontended deployment must reproduce the single-user simulator's
@@ -791,3 +794,81 @@ class TestSingleUserEquivalence:
         assert fleet_report.ledgers[0].per_slot_totals == (
             single_report.ledger.per_slot_totals
         )
+
+    @pytest.mark.parametrize("n_chaffs", [0, 2])
+    @pytest.mark.parametrize(
+        "policy_name", ["always-follow", "never-migrate", "threshold-1", "mdp"]
+    )
+    def test_m1_fleet_reproduces_single_user_under_every_policy(
+        self, chain, policy_name, n_chaffs
+    ):
+        """The fleet's vectorised policy decisions == ``policy.decide``.
+
+        ``FleetSimulation._decide_real_targets`` reduces every shipped
+        policy to a hop-matrix lookup; the oracle asks the policy object
+        slot by slot.
+        """
+        from repro.mec.policies import (
+            AlwaysFollowPolicy,
+            DistanceThresholdPolicy,
+            MDPMigrationPolicy,
+            NeverMigratePolicy,
+        )
+        from repro.sim.seeding import as_seed_sequence
+
+        topology = MECTopology.ring(10)
+        policy = {
+            "always-follow": AlwaysFollowPolicy(),
+            "never-migrate": NeverMigratePolicy(),
+            "threshold-1": DistanceThresholdPolicy(1),
+            "mdp": MDPMigrationPolicy(topology, chain, CostModel()),
+        }[policy_name]
+        strategy = get_strategy("MO") if n_chaffs else None
+        fleet = FleetSimulation(
+            topology,
+            chain,
+            strategy=strategy,
+            policy=policy,
+            config=FleetSimulationConfig(
+                n_users=1, horizon=40, n_chaffs=n_chaffs, shuffle_observations=False
+            ),
+        )
+        single = MECSimulation(
+            topology,
+            chain,
+            strategy=strategy,
+            policy=policy,
+            config=MECSimulationConfig(
+                horizon=40, n_chaffs=n_chaffs, shuffle_observations=False
+            ),
+        )
+        for seed in (3, 424, 2017):
+            fleet_report = fleet.run(seed)
+            rng = np.random.default_rng(as_seed_sequence(seed).spawn(3)[0])
+            single_report = single.run(rng)
+            assert np.array_equal(
+                fleet_report.user_trajectories[0], single_report.user_trajectory
+            )
+            assert np.array_equal(
+                fleet_report.observations.trajectories,
+                single_report.observations.trajectories,
+            )
+            fleet_ledger = fleet_report.ledgers[0]
+            single_ledger = single_report.ledger
+            assert fleet_ledger.migration_total == single_ledger.migration_total
+            assert (
+                fleet_ledger.communication_total == single_ledger.communication_total
+            )
+            assert fleet_ledger.chaff_total == single_ledger.chaff_total
+            assert fleet_ledger.migrations == single_ledger.migrations
+            assert fleet_ledger.per_slot_totals == single_ledger.per_slot_totals
+            assert fleet_report.services[0].migration_count == (
+                single_report.real_service.migration_count
+            )
+            fleet_eval = fleet_report.evaluate(chain, MaximumLikelihoodDetector())
+            single_eval = single_report.evaluate(
+                chain, MaximumLikelihoodDetector(), np.random.default_rng(0)
+            )
+            assert fleet_eval.tracking_per_user[0] == single_eval["tracking_accuracy"]
+            assert fleet_eval.detected_per_user[0] == single_eval["detection_accuracy"]
+            assert fleet_report.total_cost == single_eval["total_cost"]

@@ -1,4 +1,9 @@
-"""Tests for the MEC substrate: topology, services, costs, policies, migration."""
+"""Tests for the MEC substrate: topology, services, costs, policies, migration.
+
+The per-service migration engine exercised here is the single-user oracle
+of ``tests/reference/single_user.py``; the library itself migrates services
+through the fleet's vectorised slot kernel.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +13,6 @@ import pytest
 from repro.geo.points import GeoPoint
 from repro.geo.voronoi import VoronoiQuantizer
 from repro.mec.costs import CostLedger, CostModel
-from repro.mec.migration import MigrationEngine, MigrationEvent
 from repro.mec.policies import (
     AlwaysFollowPolicy,
     DistanceThresholdPolicy,
@@ -19,6 +23,8 @@ from repro.mec.service import ServiceInstance, ServiceKind
 from repro.mec.topology import EdgeSite, MECTopology
 from repro.mobility.grid import GridTopology
 from repro.mobility.models import lazy_uniform_model
+
+from reference.single_user import MigrationEngine, MigrationEvent
 
 
 class TestEdgeSite:

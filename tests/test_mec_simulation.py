@@ -1,4 +1,7 @@
-"""Tests for the observer, chaff orchestrator and the end-to-end MEC simulation."""
+"""Tests for the single-user MEC oracle: observer, chaff orchestrator and the
+end-to-end per-object simulation of ``tests/reference/single_user.py``, which
+``tests/test_fleet.py::TestSingleUserEquivalence`` pins the fleet against.
+"""
 
 from __future__ import annotations
 
@@ -7,14 +10,20 @@ import pytest
 
 from repro.core.eavesdropper import MaximumLikelihoodDetector, StrategyAwareDetector
 from repro.core.strategies import get_strategy
-from repro.mec.migration import MigrationEngine
 from repro.mec.costs import CostModel
-from repro.mec.observer import EavesdropperObserver, ObservationMatrix
-from repro.mec.orchestrator import ChaffOrchestrator, ChaffPlan
 from repro.mec.policies import AlwaysFollowPolicy
 from repro.mec.service import ServiceInstance, ServiceKind
-from repro.mec.simulator import MECSimulation, MECSimulationConfig
 from repro.mec.topology import MECTopology
+
+from reference.single_user import (
+    ChaffOrchestrator,
+    ChaffPlan,
+    EavesdropperObserver,
+    MECSimulation,
+    MECSimulationConfig,
+    MigrationEngine,
+    ObservationMatrix,
+)
 
 
 class TestObserver:
