@@ -2,12 +2,15 @@
 
 These measure the algorithmic building blocks the paper analyses:
 the ML-trajectory Viterbi solve (O(T L^2)), the OO dynamic program
-(O(i* T L^2)), the myopic online controller and the ML detector.  They are
+(O(i* T L^2), one user and a stacked batch against the per-trajectory
+oracle), the myopic online controller and the ML detector.  They are
 regular pytest-benchmark timings (multiple rounds) rather than one-shot
 experiment regenerations.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from repro.core.trellis import most_likely_trajectory
 from repro.mobility.models import paper_synthetic_models, random_mobility_model
 from repro.sim.monte_carlo import MonteCarloRunner
 
-from reference import run_game_loop
+from reference import run_game_loop, solve_optimal_offline_loop
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +73,48 @@ def test_bench_optimal_offline_large(benchmark, chain_large):
     user = chain_large.sample_trajectory(100, rng)
     result = benchmark(solve_optimal_offline, chain_large, user)
     assert result.chaff_cost <= result.user_cost + 1e-6
+
+
+def _best_seconds(fn, repeats: int = 3) -> float:
+    """Fastest of a few wall-clock timings of ``fn()``."""
+    timings = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        timings.append(time.perf_counter() - start)
+    return min(timings)
+
+
+def test_batched_optimal_offline_beats_per_trajectory_loop(chain_small, bench_record):
+    """The acceptance bar: one stacked Algorithm 1 solve >= 3x the loop.
+
+    B = 40 users, L = 10, T = 50 (one fig7 detector plane stack), solved
+    as one layered DP versus one per-trajectory oracle call per user from
+    ``tests/reference/``.  Both paths are bit-identical (pinned by
+    ``tests/test_optimal_offline_batch.py``), so the ratio is pure
+    execution speed.
+    """
+    users = chain_small.sample_trajectories(40, 50, np.random.default_rng(6))
+    batch = solve_optimal_offline(chain_small, users)
+    looped = [solve_optimal_offline_loop(chain_small, user) for user in users]
+    assert np.array_equal(
+        batch.trajectories, np.stack([result.trajectory for result in looped])
+    )
+    batch_seconds = _best_seconds(lambda: solve_optimal_offline(chain_small, users))
+    loop_seconds = _best_seconds(
+        lambda: [solve_optimal_offline_loop(chain_small, user) for user in users]
+    )
+    speedup = loop_seconds / batch_seconds
+    print(
+        f"\nOO B=40 L=10 T=50: batch {batch_seconds * 1e3:.2f} ms, "
+        f"loop {loop_seconds * 1e3:.1f} ms, speedup {speedup:.1f}x"
+    )
+    bench_record("core")["optimal_offline_batch"] = {
+        "batch_s": batch_seconds,
+        "loop_s": loop_seconds,
+        "speedup": round(speedup, 1),
+    }
+    assert speedup >= 3.0
 
 
 def test_bench_myopic_online(benchmark, chain_small):

@@ -41,7 +41,7 @@ from .sim import (
 )
 from .experiments import available_experiments, run_experiment
 
-__version__ = "1.2.0"
+__version__ = "1.2.1"
 
 __all__ = [
     "BatchEpisodeResult",

@@ -53,7 +53,7 @@ class StrategyAwareDetector(MaximumLikelihoodDetector):
         # The deterministic map is expensive for the OO strategy on large
         # cell sets and the trace-driven experiments re-present the same
         # fleet trajectories many times, so memoisation matters there.
-        self._map_cache: dict[tuple[str, bytes], np.ndarray | None] = {}
+        self._map_cache: dict[tuple[str, bytes], np.ndarray] = {}
 
     def row_scores(
         self,
@@ -64,10 +64,12 @@ class StrategyAwareDetector(MaximumLikelihoodDetector):
     ) -> np.ndarray:
         """ML scores, with the rows flagged as chaffs left unscored (``nan``).
 
-        Flagging is per ``(N, T)`` plane (the deterministic map is a
-        per-trajectory computation, memoised across planes and calls).
-        When every row of a plane is flagged, its decision is the
-        paper's uniform guess.
+        A row is flagged when it is Gamma of another row of its own
+        ``(N, T)`` plane.  Gamma is evaluated once for the whole
+        ``(..., N, T)`` stack: the distinct fully observed rows missing
+        from the memo go to one ``deterministic_map`` call.  When every
+        row of a plane is flagged, its decision is the paper's uniform
+        guess.
         """
         observed = _join_windows(windows)
         scores = super().row_scores(chain, [observed], transition_stack=transition_stack)
@@ -76,40 +78,48 @@ class StrategyAwareDetector(MaximumLikelihoodDetector):
             # be flagged, and memoising their ``None``s would only grow
             # the memo across Monte-Carlo batches.
             return scores
+        planes = observed.reshape(-1, *observed.shape[-2:])
+        n_rows = planes.shape[1]
+        images, mapped = self._images(chain, planes.reshape(-1, planes.shape[-1]))
+        # matches[p, i, j]: row j of plane p is Gamma of row i, i != j.
+        matches = _row_keys(images).reshape(-1, n_rows, 1) == _row_keys(planes)[:, None, :]
+        matches &= mapped.reshape(-1, n_rows, 1)
+        matches &= ~np.eye(n_rows, dtype=bool)
+        return np.where(matches.any(axis=1).reshape(scores.shape), np.nan, scores)
+
+    # ------------------------------------------------------------------
+    def _images(
+        self, chain: MarkovChain, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Gamma of every row of a ``(K, T)`` stack, and which rows have one.
+
+        Gamma is defined on whole trajectories, so a row with an
+        unobserved (``-1``) slot is neither mapped nor flagged; its image
+        row is left at ``-1``.
+        """
         # Deferred import: the adversary package imports the detectors.
         from ...adversary.score_cache import chain_digest
 
         digest = chain_digest(chain)
-        flagged = np.stack(
-            [
-                self._flag_chaffs(chain, digest, plane)
-                for plane in observed.reshape(-1, *observed.shape[-2:])
-            ]
+        mapped = (rows >= 0).all(axis=1)
+        whole = rows[mapped]
+        keys, first, inverse = np.unique(
+            _row_keys(whole), return_index=True, return_inverse=True
         )
-        return np.where(flagged.reshape(scores.shape), np.nan, scores)
+        memo_keys = [(digest, key.tobytes()) for key in keys]
+        missing = [i for i, key in enumerate(memo_keys) if key not in self._map_cache]
+        if missing:
+            fresh = self.assumed_strategy.deterministic_map(chain, whole[first[missing]])
+            for i, image in zip(missing, fresh, strict=True):
+                self._map_cache[memo_keys[i]] = image
+        images = np.full(rows.shape, -1, dtype=np.int64)
+        if memo_keys:
+            distinct = np.stack([self._map_cache[key] for key in memo_keys])
+            images[mapped] = distinct[inverse.reshape(-1)]
+        return images, mapped
 
-    # ------------------------------------------------------------------
-    def _flag_chaffs(
-        self, chain: MarkovChain, digest: str, observed: np.ndarray
-    ) -> np.ndarray:
-        """Flag the rows of one plane that are Gamma of another row.
 
-        Gamma is defined on whole trajectories, so a row with an
-        unobserved (``-1``) slot is neither mapped nor flagged.
-        """
-        flagged = np.zeros(observed.shape[0], dtype=bool)
-        for source, row in enumerate(observed):
-            if row.min() < 0:
-                continue
-            key = (digest, row.tobytes())
-            if key not in self._map_cache:
-                self._map_cache[key] = self.assumed_strategy.deterministic_map(
-                    chain, row
-                )
-            gamma = self._map_cache[key]
-            if gamma is None:
-                continue
-            matches = np.all(observed == gamma, axis=-1)
-            matches[source] = False
-            flagged |= matches
-        return flagged
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque bytes key per trajectory of an ``(..., T)`` int64 array."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1])))[..., 0]

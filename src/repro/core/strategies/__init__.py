@@ -10,6 +10,7 @@ from .base import (
 from .impersonate import ImpersonatingStrategy
 from .maximum_likelihood import MaximumLikelihoodStrategy
 from .optimal_offline import (
+    OptimalOfflineBatch,
     OptimalOfflineResult,
     OptimalOfflineStrategy,
     solve_optimal_offline,
@@ -32,6 +33,7 @@ __all__ = [
     "register_strategy",
     "ImpersonatingStrategy",
     "MaximumLikelihoodStrategy",
+    "OptimalOfflineBatch",
     "OptimalOfflineResult",
     "OptimalOfflineStrategy",
     "solve_optimal_offline",

@@ -136,14 +136,18 @@ class ChaffStrategy(abc.ABC):
         For deterministic single-chaff strategies this returns the chaff
         trajectory the strategy would produce for a given "user"
         trajectory; the advanced eavesdropper applies it to every observed
-        trajectory to unmask chaffs (Section VI-A3).  Randomised
+        trajectory to unmask chaffs (Section VI-A3).  A ``(K, T)`` stack
+        maps row by row, in one :meth:`generate_batch` call.  Randomised
         strategies return ``None``.
         """
         if not self.is_deterministic:
             return None
-        user = as_trajectory_array(user_trajectory)
-        chaffs = self.generate(chain, user, 1, np.random.default_rng(0))
-        return chaffs[0]
+        users = np.asarray(user_trajectory, dtype=np.int64)
+        stack = users if users.ndim == 2 else as_trajectory_array(users)[None]
+        # Deterministic strategies draw nothing, so one generator serves all.
+        rng = np.random.default_rng(0)
+        chaffs = self.generate_batch(chain, stack, 1, [rng] * stack.shape[0])[:, 0]
+        return chaffs if users.ndim == 2 else chaffs[0]
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -75,6 +75,10 @@ class MaximumLikelihoodStrategy(ChaffStrategy):
     def deterministic_map(
         self, chain: MarkovChain, user_trajectory: np.ndarray
     ) -> np.ndarray:
-        """The ML chaff trajectory does not depend on the user's trajectory."""
-        user = np.asarray(user_trajectory, dtype=np.int64)
-        return self.most_likely(chain, user.size)
+        """The ML chaff trajectory does not depend on the user's trajectory.
+
+        One Viterbi solve, broadcast over a ``(K, T)`` stack.
+        """
+        users = np.asarray(user_trajectory, dtype=np.int64)
+        chaff = self.most_likely(chain, users.shape[-1])
+        return np.broadcast_to(chaff, users.shape).copy()

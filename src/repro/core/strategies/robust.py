@@ -21,7 +21,7 @@ ML detector while defeating the strategy-aware detector (Figs. 7 and 10).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -66,10 +66,42 @@ def sample_exclusion_mask(
         allowed[slot, int(row[slot])] = False
     # Never forbid every cell in a slot (cannot happen unless the number of
     # prior trajectories reaches the cell count, but guard regardless).
-    for slot in range(horizon):
-        if not allowed[slot].any():
-            allowed[slot, int(prior[0, slot])] = True
+    blocked = np.flatnonzero(~allowed.any(axis=1))
+    allowed[blocked, prior[0, blocked]] = True
     return allowed
+
+
+def _perturbed_chaff_batch(
+    users: np.ndarray,
+    n_chaffs: int,
+    n_cells: int,
+    rngs: Sequence[np.random.Generator],
+    solve: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    fallback: Callable[[int], np.ndarray],
+) -> np.ndarray:
+    """RML/ROO chaffs for an ``(R, T)`` batch of users, one index at a time.
+
+    Chaff ``u`` depends on the previous chaffs of its own run, so the
+    chaff axis stays sequential; within it, every run samples its
+    exclusion mask from its own generator (in the scalar order), and
+    ``solve`` maps the ``(R, T, L)`` masks to ``(chaffs, infeasible)`` for
+    all runs at once.  ``fallback(run)`` then replaces the chaff of each
+    infeasible run, in run order, exactly like the scalar path.
+    """
+    n_runs, horizon = users.shape
+    trajectories = np.empty((n_runs, n_chaffs + 1, horizon), dtype=np.int64)
+    trajectories[:, 0] = users
+    masks = np.empty((n_runs, horizon, n_cells), dtype=bool)
+    for index in range(1, n_chaffs + 1):
+        for run in range(n_runs):
+            masks[run] = sample_exclusion_mask(
+                trajectories[run, :index], n_cells, rngs[run]
+            )
+        chaffs, infeasible = solve(masks)
+        for run in np.flatnonzero(infeasible):
+            chaffs[run] = fallback(run)
+        trajectories[:, index] = chaffs
+    return trajectories[:, 1:].copy()
 
 
 def _sample_rmo_exclusions(
@@ -123,33 +155,21 @@ class RobustMLStrategy(ChaffStrategy):
     ) -> np.ndarray:
         """Vectorised batch: one masked Viterbi solve per chaff index.
 
-        Chaff ``u`` depends on the previous chaffs of its own run, so the
-        chaff axis stays sequential; within it, the exclusion masks of all
-        runs are sampled per run (preserving each run's random stream) and
-        the ``R`` masked shortest-path problems are solved as a single
-        batched DP.  Runs whose mask is infeasible fall back to sampling
-        the mobility model from their own generator, exactly like the
-        scalar path.
+        Runs whose mask is infeasible fall back to sampling the mobility
+        model from their own generator, exactly like the scalar path.
         """
         users, rngs = self._validate_batch_inputs(
             chain, user_trajectories, n_chaffs, rngs
         )
-        n_runs, horizon = users.shape
-        priors: list[list[np.ndarray]] = [[users[run]] for run in range(n_runs)]
-        chaffs = np.empty((n_runs, n_chaffs, horizon), dtype=np.int64)
-        masks = np.empty((n_runs, horizon, chain.n_states), dtype=bool)
-        for index in range(n_chaffs):
-            for run in range(n_runs):
-                masks[run] = sample_exclusion_mask(
-                    np.stack(priors[run]), chain.n_states, rngs[run]
-                )
-            batch, infeasible = most_likely_trajectories(chain, horizon, masks)
-            for run in np.flatnonzero(infeasible):
-                batch[run] = chain.sample_trajectory(horizon, rngs[run])
-            chaffs[:, index] = batch
-            for run in range(n_runs):
-                priors[run].append(batch[run])
-        return chaffs
+        horizon = users.shape[1]
+        return _perturbed_chaff_batch(
+            users,
+            n_chaffs,
+            chain.n_states,
+            rngs,
+            lambda masks: most_likely_trajectories(chain, horizon, masks),
+            lambda run: chain.sample_trajectory(horizon, rngs[run]),
+        )
 
 
 @register_strategy
@@ -182,6 +202,35 @@ class RobustOptimalOfflineStrategy(ChaffStrategy):
             chaffs[index] = chaff
             trajectories.append(chaff)
         return chaffs
+
+    def generate_batch(
+        self,
+        chain: MarkovChain,
+        user_trajectories: np.ndarray,
+        n_chaffs: int,
+        rngs: Sequence[np.random.Generator],
+    ) -> np.ndarray:
+        """Vectorised batch: one masked Algorithm 1 solve per chaff index.
+
+        Runs with no qualifying trajectory under their mask fall back to
+        the constrained-ML chaff, exactly like the scalar path.
+        """
+        users, rngs = self._validate_batch_inputs(
+            chain, user_trajectories, n_chaffs, rngs
+        )
+
+        def solve(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            solved = solve_optimal_offline(chain, users, allowed=masks)
+            return solved.trajectories, solved.infeasible
+
+        return _perturbed_chaff_batch(
+            users,
+            n_chaffs,
+            chain.n_states,
+            rngs,
+            solve,
+            lambda run: ConstrainedMLController(chain).run(users[run]),
+        )
 
 
 @register_strategy

@@ -212,16 +212,19 @@ def most_likely_trajectory(
             raise InfeasibleTrellisError("no feasible trajectory under the mask")
         return trajectories[0]
     neg_log_pi = -chain.log_stationary
-    neg_log_P = -chain.log_transition_matrix
+    # Successor-major, so each step's argmin runs over a contiguous row.
+    neg_log_P_T = np.ascontiguousarray(-chain.log_transition_matrix.T)
+    n_cells = chain.n_states
+    row_starts = np.arange(0, n_cells * n_cells, n_cells)
 
     cost = np.where(mask[0], neg_log_pi, _INF)
-    backpointers = np.zeros((horizon, chain.n_states), dtype=np.int64)
+    backpointers = np.zeros((horizon, n_cells), dtype=np.int64)
     for t in range(1, horizon):
-        # candidate[x_prev, x_next] = cost[x_prev] + neg_log_P[x_prev, x_next]
-        candidate = cost[:, None] + neg_log_P
-        best_prev = np.argmin(candidate, axis=0)
-        best_cost = candidate[best_prev, np.arange(chain.n_states)]
-        best_cost = np.where(mask[t], best_cost, _INF)
+        # candidate[x_next, x_prev] = neg_log_P[x_prev, x_next] + cost[x_prev]
+        candidate = neg_log_P_T + cost
+        best_prev = candidate.argmin(axis=1)
+        best_cost = candidate.take(row_starts + best_prev)
+        best_cost[~mask[t]] = _INF
         backpointers[t] = best_prev
         cost = best_cost
     final = int(np.argmin(cost))
@@ -270,17 +273,20 @@ def most_likely_trajectories(
     if getattr(chain, "is_sparse", False) or top_k is not None:
         return _sparse_viterbi(chain, horizon, masks, top_k)
     neg_log_pi = -chain.log_stationary
-    neg_log_P = -chain.log_transition_matrix
+    # Successor-major, so each step's argmin runs over a contiguous row.
+    neg_log_P_T = np.ascontiguousarray(-chain.log_transition_matrix.T)
+    row_starts = np.arange(0, n_batch * n_cells * n_cells, n_cells).reshape(
+        n_batch, n_cells
+    )
 
     cost = np.where(masks[:, 0], neg_log_pi[None, :], _INF)
     backpointers = np.zeros((n_batch, horizon, n_cells), dtype=np.int64)
     for t in range(1, horizon):
-        candidate = cost[:, :, None] + neg_log_P[None, :, :]
-        best_prev = np.argmin(candidate, axis=1)
-        best_cost = np.take_along_axis(candidate, best_prev[:, None, :], axis=1)[
-            :, 0, :
-        ]
-        best_cost = np.where(masks[:, t], best_cost, _INF)
+        # candidate[r, x_next, x_prev] = neg_log_P[x_prev, x_next] + cost[r, x_prev]
+        candidate = neg_log_P_T + cost[:, None, :]
+        best_prev = candidate.argmin(axis=2)
+        best_cost = candidate.take(row_starts + best_prev)
+        best_cost[~masks[:, t]] = _INF
         backpointers[:, t] = best_prev
         cost = best_cost
     final = np.argmin(cost, axis=1)

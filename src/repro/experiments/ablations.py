@@ -150,7 +150,10 @@ def run_cost_privacy_tradeoff(
     strategy_name: str = "IM",
     n_runs: int = 20,
 ) -> ExperimentResult:
-    """Tracking accuracy versus total MEC cost as chaffs are added."""
+    """Tracking accuracy versus total MEC cost as chaffs are added.
+
+    Each chaff budget plays ``min(config.n_runs, n_runs)`` episodes.
+    """
     _require_runs(n_runs)
     if not chaff_counts:
         raise ValueError("chaff_counts must list at least one chaff budget")
@@ -161,6 +164,7 @@ def run_cost_privacy_tradeoff(
     label = config.mobility_models[0]
     chain = models[label]
     topology = MECTopology.ring(config.n_cells)
+    runs = min(config.n_runs, n_runs)
     children = spawn_sequences(
         config.seed, len(chaff_counts), key="ablation-cost-privacy"
     )
@@ -175,7 +179,7 @@ def run_cost_privacy_tradeoff(
                     n_users=1, horizon=config.horizon, n_chaffs=n_chaffs
                 ),
             ),
-            n_runs,
+            runs,
             child,
         )
         for child, n_chaffs in zip(children, chaff_counts, strict=True)
@@ -222,7 +226,10 @@ def _migration_policy_point(task) -> tuple[float, float]:
 def run_migration_policy_comparison(
     config: SyntheticExperimentConfig | None = None, *, n_runs: int = 20
 ) -> ExperimentResult:
-    """Compare migration policies on cost and user/service co-location."""
+    """Compare migration policies on cost and user/service co-location.
+
+    Every policy replays the same ``min(config.n_runs, n_runs)`` episodes.
+    """
     _require_runs(n_runs)
     config = config or SyntheticExperimentConfig()
     models = paper_synthetic_models(
@@ -240,7 +247,9 @@ def run_migration_policy_comparison(
     }
     policy_names = list(policies)
     run_children = spawn_sequences(
-        config.seed, n_runs, key="ablation-migration-policies"
+        config.seed,
+        min(config.n_runs, n_runs),
+        key="ablation-migration-policies",
     )
     one_user = FleetSimulationConfig(n_users=1, horizon=config.horizon, n_chaffs=0)
     tasks = [

@@ -12,7 +12,9 @@ so no configuration can select them:
   knowledge x coverage adversary;
 * :mod:`reference.single_user` — the per-object single-user MEC
   simulator (migration engine, chaff orchestrator, eavesdropper
-  observer) that an ``M = 1`` fleet reproduces bit for bit.
+  observer) that an ``M = 1`` fleet reproduces bit for bit;
+* :mod:`reference.optimal_offline` — Algorithm 1 solved one user
+  trajectory at a time, the oracle of the batched layered DP.
 
 ``tests/conftest.py`` and ``benchmarks/conftest.py`` put ``tests/`` on
 ``sys.path``, so both suites import this package as ``reference``.
@@ -21,6 +23,7 @@ so no configuration can select them:
 from .adversary import LoopReferenceAdversaryDetector
 from .fleet import loop_engine, run_fleet, run_fleet_loop
 from .monte_carlo import run_game_loop, sweep_strategies_loop
+from .optimal_offline import solve_optimal_offline_loop
 
 __all__ = [
     "LoopReferenceAdversaryDetector",
@@ -28,5 +31,6 @@ __all__ = [
     "run_fleet",
     "run_fleet_loop",
     "run_game_loop",
+    "solve_optimal_offline_loop",
     "sweep_strategies_loop",
 ]

@@ -216,6 +216,19 @@ class TestAblations:
         assert result.scalars["mdp/cost"] <= result.scalars["always-follow/cost"] * 1.2
 
     @pytest.mark.parametrize(
+        "runner", [run_cost_privacy_tradeoff, run_migration_policy_comparison]
+    )
+    def test_config_run_budget_caps_the_runs(self, runner):
+        def config(n_runs):
+            return SyntheticExperimentConfig(
+                n_runs=n_runs, horizon=20, mobility_models=("non-skewed",)
+            )
+
+        capped = runner(config(3)).scalars
+        assert capped == runner(config(1000), n_runs=3).scalars
+        assert capped != runner(config(1000)).scalars
+
+    @pytest.mark.parametrize(
         "runner",
         [
             run_migration_policy_comparison,
