@@ -12,8 +12,8 @@ store's disk-backed memmap pages; that is the point — they are the part
 of the episode that no longer lives on the heap.
 
 The second measurement is throughput parity at M = 500 on a contended
-deployment: the slot kernel dominates there, so streaming's spill
-overhead must stay within noise of the batch engine.
+deployment: both engines do the same slot-kernel work there, so
+streaming's spill overhead must stay within noise of the batch engine.
 """
 
 from __future__ import annotations
@@ -111,9 +111,13 @@ def test_bench_streaming_memory_flat_in_horizon(benchmark, stream_chain, bench_r
 def test_bench_streaming_throughput_m500(benchmark, stream_chain, bench_record):
     """Streaming stays at batch throughput on a contended M = 500 fleet.
 
-    Capacity 40 x 25 cells exactly fits the N = 1000 services, so the
-    placement walk dominates every slot — the regime where the engines
-    do identical work and spilling chunks must cost nothing measurable.
+    Capacity 40 x 25 cells exactly fits the N = 1000 services, so every
+    slot is contended — the regime where the engines do identical
+    placement work and spilling chunks must cost nothing measurable.
+    A full deployment rejects a contended slot whole, so one run takes
+    only ~0.05 s; each engine is timed as the best of three alternating
+    runs, so a single scheduling or file-system stall on a shared host
+    does not decide the ratio.
     """
     n_users, horizon, capacity = 500, 128, 40
 
@@ -129,12 +133,17 @@ def test_bench_streaming_throughput_m500(benchmark, stream_chain, bench_record):
         ).run(0)
         report.close()
 
-    start = time.perf_counter()
-    batch_run()
-    batch_seconds = time.perf_counter() - start
-    start = time.perf_counter()
+    def timed(run) -> float:
+        start = time.perf_counter()
+        run()
+        return time.perf_counter() - start
+
+    batch_times, stream_times = [], []
+    for _ in range(3):
+        batch_times.append(timed(batch_run))
+        stream_times.append(timed(stream_run))
     benchmark.pedantic(stream_run, rounds=1, iterations=1)
-    stream_seconds = time.perf_counter() - start
+    batch_seconds, stream_seconds = min(batch_times), min(stream_times)
     # Parity within scheduling noise; streaming is regularly faster once
     # the batch engine's full-plane materialisation enters the picture.
     assert stream_seconds <= 1.5 * batch_seconds

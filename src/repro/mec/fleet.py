@@ -68,7 +68,7 @@ from .policies import (
     MigrationPolicy,
     NeverMigratePolicy,
 )
-from .service import ServiceIdAllocator, ServiceInstance, ServiceKind
+from .service import ServiceInstance, ServiceKind
 from .topology import MECTopology
 
 __all__ = [
@@ -825,24 +825,14 @@ class FleetSimulation:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-service (owner, is_real, service_id) arrays in id order.
 
-        Services are allocated user by user — real first, then that
-        user's chaffs — from one fleet-scoped
-        :class:`~repro.mec.service.ServiceIdAllocator`.
+        Services are laid out user by user — real first, then that
+        user's chaffs — and numbered ``0 … n − 1`` in that order.
         """
-        allocator = ServiceIdAllocator()
-        owners: list[int] = []
-        is_real: list[bool] = []
-        ids: list[int] = []
-        for user, budget in enumerate(budgets):
-            for index in range(1 + budget):
-                owners.append(user)
-                is_real.append(index == 0)
-                ids.append(allocator.allocate())
-        return (
-            np.asarray(owners, dtype=np.int64),
-            np.asarray(is_real, dtype=bool),
-            np.asarray(ids, dtype=np.int64),
-        )
+        per_user = 1 + np.asarray(budgets, dtype=np.int64)
+        owners = np.repeat(np.arange(per_user.size, dtype=np.int64), per_user)
+        is_real = np.zeros(owners.size, dtype=bool)
+        is_real[np.cumsum(per_user) - per_user] = True
+        return owners, is_real, np.arange(owners.size, dtype=np.int64)
 
     def _sample_user(
         self, user: int, rng: np.random.Generator

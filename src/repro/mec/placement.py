@@ -8,12 +8,18 @@ component that actually enforces it.  Placement requests (instantiations
 and migrations) are resolved against the current site loads:
 
 * **admit** — the requested site has a free slot, the service lands there;
-* **spill** — the requested site is full, the service lands on the nearest
-  site (by hop distance, ties broken towards the lowest cell index) that
-  still has a free slot;
+* **spill** — the requested site is full, the service lands on the first
+  site of the requested site's *hop order* that still has a free slot;
 * **reject** — no site can improve on where the service already is (every
-  site is full, or the nearest free site is the service's own), so the
+  site is full, or the first free site is the service's own), so the
   migration request is dropped and the service stays put.
+
+A cell's hop order lists every cell by hop distance from it, ties broken
+towards the lowest cell index (``np.argsort(hops[cell], kind="stable")``).
+Each row is built once per topology, on the first spill out of that cell,
+and shared by every engine of a run stack.  A site is *free* when its load
+is below its capacity, so overloaded and zero-capacity sites never take a
+spill.
 
 Within one slot, requests are resolved greedily in service-id order; a
 slot freed by a later service is not visible to an earlier one.  That rule
@@ -21,7 +27,10 @@ makes the outcome deterministic and lets the hot path skip the per-service
 resolution entirely whenever every requested site verifiably has room for
 all of its arrivals (the common, uncontended case) — the vectorised fleet
 slot-loop stays O(T) numpy work and only contended slots pay a Python
-fallback.
+fallback.  That fallback is a first-hit walk on plain lists: it keeps a
+running count of free sites, rejects a blocked mover at once while the
+count is 0 (a slot that starts with none is rejected whole), and
+otherwise scans the target's hop order up to the first free site.
 """
 
 from __future__ import annotations
@@ -75,6 +84,87 @@ class PlacementStats:
         }
 
 
+class _HopOrder:
+    """Every cell's stable hop order, built row by row on first use.
+
+    ``order[cell]`` is ``np.argsort(hops[cell], kind="stable")`` as a
+    plain list: all cells by hop distance from ``cell``, ties towards the
+    lowest cell index.  An engine that never spills never builds a row.
+    """
+
+    __slots__ = ("_hops", "_rows")
+
+    def __init__(self, hops: np.ndarray) -> None:
+        self._hops = hops
+        self._rows: list[list[int] | None] = [None] * hops.shape[0]
+
+    def __getitem__(self, cell: int) -> list[int]:
+        row = self._rows[cell]
+        if row is None:
+            row = np.argsort(self._hops[cell], kind="stable").tolist()
+            self._rows[cell] = row
+        return row
+
+
+class _RegionFallback(Exception):
+    """Raised when a sharded slot cannot be proven order-equivalent."""
+
+
+class _WalkLoads:
+    """One walk's working copy of the site loads, as plain lists.
+
+    ``free`` counts the sites with ``load < capacity``.  The walk mutates
+    the lists through :meth:`add` / :meth:`remove`, which keep that count
+    current, and :meth:`commit` writes the loads back in place — the
+    engine's ``load`` may be a view into a run stack's shared array.
+    """
+
+    __slots__ = ("load", "caps", "free", "_engine")
+
+    def __init__(self, engine: "PlacementEngine") -> None:
+        self.load: list[int] = engine.load.tolist()
+        self.caps: list[int] = engine.capacities.tolist()
+        self.free = int(np.count_nonzero(engine.load < engine.capacities))
+        self._engine = engine
+
+    def first_free(
+        self, cell: int, fence: "list[bool] | None" = None
+    ) -> int | None:
+        """The first free site in ``cell``'s hop order (``None``: all full).
+
+        Reaching a ``fence``d cell first raises :class:`_RegionFallback`:
+        the sharded engine cannot prove the serial walk would pass it.
+        """
+        if self.free:
+            load, caps = self.load, self.caps
+            for site in self._engine._order[cell]:
+                if fence is not None and fence[site]:
+                    raise _RegionFallback
+                if load[site] < caps[site]:
+                    return site
+        return None
+
+    def add(self, cell: int) -> None:
+        load = self.load[cell] + 1
+        self.load[cell] = load
+        if load == self.caps[cell]:
+            self.free -= 1
+
+    def remove(self, cell: int) -> None:
+        load = self.load[cell]
+        self.load[cell] = load - 1
+        if load == self.caps[cell]:
+            self.free += 1
+
+    def commit(self) -> None:
+        self._engine.load[:] = self.load
+
+
+def _check_cells(name: str, cells: np.ndarray, n_cells: int) -> None:
+    if cells.size and (cells.min() < 0 or cells.max() >= n_cells):
+        raise ValueError(f"{name} out of range [0, {n_cells})")
+
+
 class PlacementEngine:
     """Tracks per-site occupancy and resolves placement requests.
 
@@ -90,6 +180,7 @@ class PlacementEngine:
         self.load = np.zeros(topology.n_cells, dtype=np.int64)
         self.stats = PlacementStats()
         self._hops = topology.hop_distance_matrix()
+        self._order = _HopOrder(self._hops)
 
     # ------------------------------------------------------------------
     @property
@@ -97,48 +188,51 @@ class PlacementEngine:
         """Sum of all site capacities."""
         return int(self.capacities.sum())
 
-    def _nearest_free(self, cell: int) -> int | None:
-        """Nearest site with a free slot (ties -> lowest cell index)."""
-        free = np.flatnonzero(self.load < self.capacities)
-        if free.size == 0:
-            return None
-        # ``free`` is ascending, so argmin's first-hit rule is the tiebreak.
-        return int(free[np.argmin(self._hops[cell, free])])
+    def _admit_walk(self, desired_cells: np.ndarray, *, strand: bool) -> np.ndarray:
+        """Admit newcomers in id order, spilling to the first free site.
+
+        With no free site anywhere, a newcomer is stranded at its
+        requested cell when ``strand`` is set and raises otherwise.
+        """
+        desired = np.asarray(desired_cells, dtype=np.int64)
+        if desired.ndim != 1:
+            raise ValueError("desired_cells must be 1-D")
+        _check_cells("desired_cells", desired, self.topology.n_cells)
+        walk = _WalkLoads(self)
+        load, caps = walk.load, walk.caps
+        placed = desired.tolist()
+        for index, cell in enumerate(placed):
+            if load[cell] < caps[cell]:
+                self.stats.admitted += 1
+            else:
+                spill = walk.first_free(cell)
+                if spill is not None:
+                    cell = spill
+                    placed[index] = cell
+                    self.stats.spilled += 1
+                elif strand:
+                    self.stats.stranded += 1
+                else:
+                    walk.commit()
+                    raise ValueError(
+                        "deployment is full: cannot instantiate service "
+                        f"{index} (total capacity {self.total_capacity})"
+                    )
+            walk.add(cell)
+        walk.commit()
+        return np.asarray(placed, dtype=np.int64)
 
     # ------------------------------------------------------------------
     def place_initial(self, desired_cells: np.ndarray) -> np.ndarray:
         """Admit all services at instantiation time, spilling where needed.
 
         Services are placed in id order at their requested cells; a full
-        site spills the newcomer to the nearest free site.  The caller
-        must have validated that the fleet fits the deployment at all
-        (``len(desired_cells) <= total_capacity``) — instantiating a
-        service that no site can host raises.
+        site spills the newcomer to the first free site of its hop order.
+        The caller must have validated that the fleet fits the deployment
+        at all (``len(desired_cells) <= total_capacity``) — instantiating
+        a service that no site can host raises.
         """
-        desired = np.asarray(desired_cells, dtype=np.int64)
-        if desired.ndim != 1:
-            raise ValueError("desired_cells must be 1-D")
-        if desired.size and (
-            desired.min() < 0 or desired.max() >= self.topology.n_cells
-        ):
-            raise ValueError("desired cells out of range")
-        placed = np.empty_like(desired)
-        for index, cell in enumerate(desired):
-            cell = int(cell)
-            if self.load[cell] < self.capacities[cell]:
-                self.stats.admitted += 1
-            else:
-                spill = self._nearest_free(cell)
-                if spill is None:
-                    raise ValueError(
-                        "deployment is full: cannot instantiate service "
-                        f"{index} (total capacity {self.total_capacity})"
-                    )
-                cell = spill
-                self.stats.spilled += 1
-            self.load[cell] += 1
-            placed[index] = cell
-        return placed
+        return self._admit_walk(desired_cells, strand=False)
 
     def resolve_moves(
         self, current_cells: np.ndarray, desired_cells: np.ndarray
@@ -150,7 +244,8 @@ class PlacementEngine:
         arrivals even before any departure frees a slot — then the greedy
         per-service resolution would admit everything, so the whole slot
         is settled with three bincounts.  Otherwise the slot falls back to
-        the greedy id-order walk (admit / spill / reject per service).
+        the greedy id-order first-hit walk (admit / spill / reject per
+        service).  Only the movers' cells are range-checked.
         """
         current = np.asarray(current_cells, dtype=np.int64)
         desired = np.asarray(desired_cells, dtype=np.int64)
@@ -159,30 +254,55 @@ class PlacementEngine:
         movers = np.flatnonzero(desired != current)
         if movers.size == 0:
             return current.copy()
-        arrivals = np.bincount(desired[movers], minlength=self.topology.n_cells)
+        n_cells = self.topology.n_cells
+        sources = current[movers]
+        targets = desired[movers]
+        _check_cells("current_cells", sources, n_cells)
+        _check_cells("desired_cells", targets, n_cells)
+        arrivals = np.bincount(targets, minlength=n_cells)
         if np.all(self.load + arrivals <= self.capacities):
             self.load += arrivals
-            self.load -= np.bincount(
-                current[movers], minlength=self.topology.n_cells
-            )
+            self.load -= np.bincount(sources, minlength=n_cells)
             self.stats.admitted += int(movers.size)
             return desired.copy()
-        placed = current.copy()
-        for index in movers:
-            source = int(current[index])
-            target = int(desired[index])
-            if self.load[target] >= self.capacities[target]:
-                spill = self._nearest_free(target)
+        walk = _WalkLoads(self)
+        if not walk.free:
+            # Every site is full: each mover is rejected in turn, and a
+            # rejection frees nothing, so the whole slot is rejected.
+            self.stats.rejected += int(movers.size)
+            return current.copy()
+        load, caps = walk.load, walk.caps
+        first_free = walk.first_free
+        admitted = spilled = rejected = 0
+        landed = sources.tolist()
+        for position, (source, target) in enumerate(
+            zip(sources.tolist(), targets.tolist(), strict=True)
+        ):
+            if load[target] >= caps[target]:
+                spill = first_free(target)
                 if spill is None or spill == source:
-                    self.stats.rejected += 1
+                    rejected += 1
                     continue
                 target = spill
-                self.stats.spilled += 1
+                spilled += 1
             else:
-                self.stats.admitted += 1
-            self.load[source] -= 1
-            self.load[target] += 1
-            placed[index] = target
+                admitted += 1
+            # Inlined remove(source) / add(target): the hottest loop.
+            count = load[source]
+            load[source] = count - 1
+            if count == caps[source]:
+                walk.free += 1
+            count = load[target] + 1
+            load[target] = count
+            if count == caps[target]:
+                walk.free -= 1
+            landed[position] = target
+        walk.commit()
+        self.stats.admitted += admitted
+        self.stats.spilled += spilled
+        self.stats.rejected += rejected
+        placed = current.copy()
+        placed[movers] = landed
         return placed
 
     # ------------------------------------------------------------------
@@ -214,10 +334,11 @@ class PlacementEngine:
         ignored).  For every overloaded site, in ascending cell order,
         the earliest-placed services (lowest row index) keep their slots
         up to the new capacity; the rest are evicted in ascending row
-        order to the nearest site with a free slot (``stats.evicted``).
-        A service with nowhere to go stays on the overloaded site as
-        *stranded* (``stats.stranded``) — it retries on its next regular
-        move, and the overload drains as capacity reappears.
+        order to the first free site of the overloaded site's hop order
+        (``stats.evicted``).  A service with nowhere to go stays on the
+        overloaded site as *stranded* (``stats.stranded``) — it retries
+        on its next regular move, and the overload drains as capacity
+        reappears.
 
         Returns ``(new_cells, moved_rows)``; moved rows are forced
         migrations the caller must charge.
@@ -229,21 +350,21 @@ class PlacementEngine:
         new_cells = current.copy()
         moved: list[int] = []
         placed_rows = np.flatnonzero(placed)
-        for cell in overloaded:
-            cell = int(cell)
+        walk = _WalkLoads(self)
+        for cell in overloaded.tolist():
             hosted = placed_rows[current[placed_rows] == cell]
-            keep = int(self.capacities[cell])
-            for row in hosted[keep:]:
-                self.load[cell] -= 1
-                spill = self._nearest_free(cell)
+            for row in hosted[walk.caps[cell] :].tolist():
+                walk.remove(cell)
+                spill = walk.first_free(cell)
                 if spill is None:
-                    self.load[cell] += 1
+                    walk.add(cell)
                     self.stats.stranded += 1
                     continue
-                self.load[spill] += 1
+                walk.add(spill)
                 new_cells[row] = spill
-                moved.append(int(row))
+                moved.append(row)
                 self.stats.evicted += 1
+        walk.commit()
         return new_cells, np.asarray(moved, dtype=np.int64)
 
     def admit_arrivals(self, desired_cells: np.ndarray) -> np.ndarray:
@@ -255,28 +376,7 @@ class PlacementEngine:
         an arrival during a failure burst is a legal situation, not a
         configuration error.
         """
-        desired = np.asarray(desired_cells, dtype=np.int64)
-        if desired.ndim != 1:
-            raise ValueError("desired_cells must be 1-D")
-        if desired.size and (
-            desired.min() < 0 or desired.max() >= self.topology.n_cells
-        ):
-            raise ValueError("desired cells out of range")
-        placed = np.empty_like(desired)
-        for index, cell in enumerate(desired):
-            cell = int(cell)
-            if self.load[cell] < self.capacities[cell]:
-                self.stats.admitted += 1
-            else:
-                spill = self._nearest_free(cell)
-                if spill is None:
-                    self.stats.stranded += 1
-                else:
-                    cell = spill
-                    self.stats.spilled += 1
-            self.load[cell] += 1
-            placed[index] = cell
-        return placed
+        return self._admit_walk(desired_cells, strand=True)
 
     def release(self, cells: np.ndarray) -> None:
         """Free the slots of departing services (one per entry)."""
@@ -330,10 +430,6 @@ class RegionPartition:
         return np.flatnonzero(self.labels == region)
 
 
-class _RegionFallback(Exception):
-    """Raised when a sharded slot cannot be proven order-equivalent."""
-
-
 class ShardedPlacementEngine(PlacementEngine):
     """A :class:`PlacementEngine` that settles independent regions concurrently.
 
@@ -347,10 +443,10 @@ class ShardedPlacementEngine(PlacementEngine):
 
     Bit-identity with the serial engine is enforced, not assumed: any
     spill whose landing cell cannot be *proven* to beat every cell
-    outside the settling group (strictly fewer hops, or equal hops and a
-    lower cell index — the serial tie-break order, checked against every
-    foreign cell regardless of its current load) aborts the slot, which
-    then replays through the plain serial walk from a snapshot.  The
+    outside the settling group (a spill scan that meets a foreign cell
+    in the target's hop order before a free cell of its own, whatever
+    that foreign cell's load) aborts the slot, which then replays
+    through the plain serial walk from a snapshot.  The
     forced operations of a dynamic world (evictions, arrivals,
     releases) always run the inherited serial path.
     """
@@ -365,57 +461,30 @@ class ShardedPlacementEngine(PlacementEngine):
         self.workers = int(workers)
 
     # ------------------------------------------------------------------
-    def _spill_is_provable(
-        self, target: int, spill: int, foreign: np.ndarray
-    ) -> bool:
-        """Whether ``spill`` beats every ``foreign`` cell for ``target``.
-
-        Conservative: foreign cells are compared as if they were free,
-        so a pass certifies the serial walk would pick ``spill`` no
-        matter how foreign occupancy evolved mid-slot.
-        """
-        if foreign.size == 0:
-            return True
-        distance = int(self._hops[target, spill])
-        foreign_hops = self._hops[target, foreign]
-        return not bool(
-            np.any(
-                (foreign_hops < distance)
-                | ((foreign_hops == distance) & (foreign < spill))
-            )
-        )
-
-    def _nearest_free_within(self, cell: int, cells: np.ndarray) -> int | None:
-        """Nearest free cell among ``cells`` (ties -> lowest index)."""
-        free = cells[self.load[cells] < self.capacities[cells]]
-        if free.size == 0:
-            return None
-        return int(free[np.argmin(self._hops[cell, free])])
-
     def _settle_region(
         self,
         region_cells: np.ndarray,
-        foreign_cells: np.ndarray,
+        foreign: list[bool],
         movers: np.ndarray,
         current: np.ndarray,
         desired: np.ndarray,
     ) -> tuple[np.ndarray, PlacementStats]:
         """Settle one clean region's movers against its own cells only.
 
-        Reads and writes ``self.load`` at ``region_cells`` alone, so
-        concurrent regions never share state.  Raises
+        Writes ``self.load`` at ``region_cells`` alone, and its spill
+        scans stop at the first ``foreign`` cell, so concurrent regions
+        never share state (the walk's free count may include stale
+        foreign loads; it only decides whether to scan).  Raises
         :class:`_RegionFallback` when a local spill cannot be proven
-        globally correct.
+        globally correct: a foreign cell precedes every free region cell
+        in the target's hop order.
         """
         delta = PlacementStats()
         arrivals = np.bincount(desired[movers], minlength=self.load.size)
-        in_region = np.zeros(self.load.size, dtype=bool)
-        in_region[region_cells] = True
         fits = np.all(
             self.load[region_cells] + arrivals[region_cells]
             <= self.capacities[region_cells]
         )
-        placed = current[movers].copy()
         if fits:
             # Regional fast path: the greedy walk would admit everything.
             self.load[region_cells] += arrivals[region_cells]
@@ -423,14 +492,16 @@ class ShardedPlacementEngine(PlacementEngine):
             self.load[region_cells] -= departures[region_cells]
             delta.admitted += int(movers.size)
             return desired[movers].copy(), delta
-        for position, index in enumerate(movers):
-            source = int(current[index])
-            target = int(desired[index])
-            if self.load[target] >= self.capacities[target]:
-                spill = self._nearest_free_within(target, region_cells)
-                if spill is None or not self._spill_is_provable(
-                    target, spill, foreign_cells
-                ):
+        walk = _WalkLoads(self)
+        load, caps = walk.load, walk.caps
+        sources = current[movers].tolist()
+        landed = list(sources)
+        for position, (source, target) in enumerate(
+            zip(sources, desired[movers].tolist(), strict=True)
+        ):
+            if load[target] >= caps[target]:
+                spill = walk.first_free(target, foreign)
+                if spill is None:
                     raise _RegionFallback
                 if spill == source:
                     delta.rejected += 1
@@ -439,17 +510,18 @@ class ShardedPlacementEngine(PlacementEngine):
                 delta.spilled += 1
             else:
                 delta.admitted += 1
-            self.load[source] -= 1
-            self.load[target] += 1
-            placed[position] = target
-        return placed, delta
+            walk.remove(source)
+            walk.add(target)
+            landed[position] = target
+        self.load[region_cells] = np.take(walk.load, region_cells)
+        return np.asarray(landed, dtype=np.int64), delta
 
     def _settle_residue(
         self,
         movers: np.ndarray,
         current: np.ndarray,
         desired: np.ndarray,
-        clean_cells: np.ndarray,
+        in_clean: list[bool],
     ) -> tuple[np.ndarray, PlacementStats]:
         """Settle the cross-region movers in one global id-order walk.
 
@@ -459,25 +531,22 @@ class ShardedPlacementEngine(PlacementEngine):
         path.
         """
         delta = PlacementStats()
-        in_clean = np.zeros(self.load.size, dtype=bool)
-        in_clean[clean_cells] = True
-        placed = current[movers].copy()
-        for position, index in enumerate(movers):
-            source = int(current[index])
-            target = int(desired[index])
-            if self.load[target] >= self.capacities[target]:
-                spill = self._nearest_free(target)
+        walk = _WalkLoads(self)
+        load, caps = walk.load, walk.caps
+        sources = current[movers].tolist()
+        landed = list(sources)
+        for position, (source, target) in enumerate(
+            zip(sources, desired[movers].tolist(), strict=True)
+        ):
+            if load[target] >= caps[target]:
+                spill = walk.first_free(target, in_clean)
                 if spill is None:
-                    if clean_cells.size:
+                    if any(in_clean):
                         # A clean cell may have been transiently free in
                         # the true interleaved order; cannot prove not.
                         raise _RegionFallback
                     delta.rejected += 1
                     continue
-                if in_clean[spill] or not self._spill_is_provable(
-                    target, spill, clean_cells
-                ):
-                    raise _RegionFallback
                 if spill == source:
                     delta.rejected += 1
                     continue
@@ -485,10 +554,11 @@ class ShardedPlacementEngine(PlacementEngine):
                 delta.spilled += 1
             else:
                 delta.admitted += 1
-            self.load[source] -= 1
-            self.load[target] += 1
-            placed[position] = target
-        return placed, delta
+            walk.remove(source)
+            walk.add(target)
+            landed[position] = target
+        walk.commit()
+        return np.asarray(landed, dtype=np.int64), delta
 
     # ------------------------------------------------------------------
     def resolve_moves(
@@ -504,13 +574,14 @@ class ShardedPlacementEngine(PlacementEngine):
         movers = np.flatnonzero(desired != current)
         if movers.size == 0:
             return current.copy()
-        arrivals = np.bincount(desired[movers], minlength=self.topology.n_cells)
+        n_cells = self.topology.n_cells
+        _check_cells("current_cells", current[movers], n_cells)
+        _check_cells("desired_cells", desired[movers], n_cells)
+        arrivals = np.bincount(desired[movers], minlength=n_cells)
         if np.all(self.load + arrivals <= self.capacities):
             # Global fast path, identical to the serial engine.
             self.load += arrivals
-            self.load -= np.bincount(
-                current[movers], minlength=self.topology.n_cells
-            )
+            self.load -= np.bincount(current[movers], minlength=n_cells)
             self.stats.admitted += int(movers.size)
             return desired.copy()
 
@@ -530,7 +601,7 @@ class ShardedPlacementEngine(PlacementEngine):
         # exactly the cells of the regions being settled as clean tasks.
         active_clean = np.zeros(self.partition.n_regions, dtype=bool)
         active_clean[clean_regions] = True
-        active_clean_cells = np.flatnonzero(active_clean[labels])
+        in_clean = active_clean[labels].tolist()
 
         load_snapshot = self.load.copy()
         stats_snapshot = PlacementStats(**self.stats.as_dict())
@@ -540,7 +611,7 @@ class ShardedPlacementEngine(PlacementEngine):
             for region in clean_regions:
                 region_movers = movers[target_region == region]
                 region_cells = self.partition.cells(region)
-                foreign = np.flatnonzero(labels != region)
+                foreign = (labels != region).tolist()
                 tasks.append((region_movers, region_cells, foreign))
             if self.workers > 1 and len(tasks) > 1:
                 with ThreadPoolExecutor(max_workers=self.workers) as pool:
@@ -563,7 +634,7 @@ class ShardedPlacementEngine(PlacementEngine):
             residue_result = None
             if residue.size:
                 residue_result = self._settle_residue(
-                    residue, current, desired, active_clean_cells
+                    residue, current, desired, in_clean
                 )
         except _RegionFallback:
             self.load[:] = load_snapshot

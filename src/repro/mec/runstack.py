@@ -97,14 +97,16 @@ class _StackedPlacement:
             placement_engine(topology, regions=regions, workers=region_workers)
             for _ in range(self.run_stack)
         ]
-        # One hop matrix serves every run (hop_distance_matrix returns a
-        # fresh copy per engine otherwise).
+        # One hop matrix and one lazily built hop order serve every run
+        # (hop_distance_matrix returns a fresh copy per engine otherwise).
         shared_hops = self.engines[0]._hops
+        shared_order = self.engines[0]._order
         self.load_st = np.zeros(
             self.run_stack * self.n_cells, dtype=self.engines[0].load.dtype
         )
         for index, engine in enumerate(self.engines):
             engine._hops = shared_hops
+            engine._order = shared_order
             engine.load = self.load_st[
                 index * self.n_cells : (index + 1) * self.n_cells
             ]

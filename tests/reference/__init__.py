@@ -14,7 +14,9 @@ so no configuration can select them:
   simulator (migration engine, chaff orchestrator, eavesdropper
   observer) that an ``M = 1`` fleet reproduces bit for bit;
 * :mod:`reference.optimal_offline` — Algorithm 1 solved one user
-  trajectory at a time, the oracle of the batched layered DP.
+  trajectory at a time, the oracle of the batched layered DP;
+* :mod:`reference.placement` — the placement walks that rescan every
+  cell for the nearest free site, the oracle of the first-hit walk.
 
 ``tests/conftest.py`` and ``benchmarks/conftest.py`` put ``tests/`` on
 ``sys.path``, so both suites import this package as ``reference``.
@@ -24,9 +26,11 @@ from .adversary import LoopReferenceAdversaryDetector
 from .fleet import loop_engine, run_fleet, run_fleet_loop
 from .monte_carlo import run_game_loop, sweep_strategies_loop
 from .optimal_offline import solve_optimal_offline_loop
+from .placement import ReferencePlacementEngine
 
 __all__ = [
     "LoopReferenceAdversaryDetector",
+    "ReferencePlacementEngine",
     "loop_engine",
     "run_fleet",
     "run_fleet_loop",

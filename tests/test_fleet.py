@@ -33,7 +33,7 @@ from repro.mec.fleet import (
     FleetSimulationConfig,
     run_fleet_monte_carlo,
 )
-from repro.mec.placement import PlacementEngine
+from repro.mec.placement import PlacementEngine, _WalkLoads
 from repro.mec.service import ServiceIdAllocator, ServiceInstance, ServiceKind
 from repro.mec.topology import MECTopology
 from repro.mobility.grid import GridTopology
@@ -681,28 +681,35 @@ class TestSaturatedTopology:
         assert batch.placement.as_dict() == loop.placement.as_dict()
 
     def test_nearest_free_tie_breaking_is_deterministic(self):
-        # _nearest_free must break hop-distance ties towards the lowest
-        # cell index, independent of argmin/flatnonzero platform quirks:
-        # on a ring of 6 with cell 0 full, cells 1 and 5 are both one
-        # hop away -> cell 1 wins, repeatably.
+        # The first-hit helper must break hop-distance ties towards the
+        # lowest cell index (the stable hop order): on a ring of 6 with
+        # cell 0 full, cells 1 and 5 are both one hop away -> cell 1
+        # wins, repeatably.
+        def first_free(engine, cell):
+            return _WalkLoads(engine).first_free(cell)
+
         for _ in range(5):
             engine = PlacementEngine(MECTopology.ring(6, capacity=1))
             engine.place_initial(np.array([0]))
-            assert engine._nearest_free(0) == 1
+            assert first_free(engine, 0) == 1
         # with cell 1 also full the next candidates are 2 and 5 at
         # distances 2 and 1: distance wins over index.
         engine = PlacementEngine(MECTopology.ring(6, capacity=1))
         engine.place_initial(np.array([0, 1]))
-        assert engine._nearest_free(0) == 5
+        assert first_free(engine, 0) == 5
         # equidistant free sites on a complete graph: lowest index wins.
         engine = PlacementEngine(MECTopology.complete(5, capacity=1))
         engine.place_initial(np.array([0]))
-        assert engine._nearest_free(0) == 1
+        assert first_free(engine, 0) == 1
         # and the choice is stable under permuted load histories that
         # leave the same free set.
         engine = PlacementEngine(MECTopology.complete(5, capacity=1))
         engine.place_initial(np.array([0, 3]))
-        assert engine._nearest_free(3) == 1
+        assert first_free(engine, 3) == 1
+        # a full deployment answers None without scanning.
+        engine = PlacementEngine(MECTopology.complete(3, capacity=1))
+        engine.place_initial(np.array([0, 1, 2]))
+        assert first_free(engine, 0) is None
 
 
 class TestSingleUserEquivalence:
