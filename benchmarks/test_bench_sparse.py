@@ -11,7 +11,11 @@ numbers stop at ``10^3``: a dense ``10^4 x 10^4`` transition matrix is
 ``test_sparse_crossover_at_thousand_cells`` asserts the headline claim
 (sparse at least 5x faster end to end at ``L = 10^3``), so a kernel
 regression that erases the crossover fails CI rather than only shifting
-a chart.
+a chart.  ``test_step_kernel_beats_linear_count_oracle`` times the
+sampling step kernel (whole-row count up to 32 entries, bisection above)
+against the one-count-per-row oracle of ``tests/reference/sampling.py``
+and asserts the bisection's gain at ``L = 400``.  Every timing lands in
+``BENCH_sparse.json``.
 """
 
 from __future__ import annotations
@@ -24,10 +28,13 @@ import pytest
 from repro.core.trellis import most_likely_trajectory
 from repro.mobility import (
     GridTopology,
+    MarkovChain,
     SparseMarkovChain,
     grid_random_walk,
     stationary_distribution,
 )
+
+from reference.sampling import evolve_linear
 
 #: (rows, cols) grid factorisations of the swept state-space sizes.
 GRID_SIZES = {10: (2, 5), 100: (10, 10), 1_000: (25, 40), 10_000: (100, 100)}
@@ -65,16 +72,24 @@ def _viterbi(chain):
     return most_likely_trajectory(chain, _HORIZON)
 
 
-def test_bench_sampling_dense(benchmark, grid_pair):
+def _record_mean(benchmark, bench_record, name: str) -> None:
+    stats = getattr(benchmark, "stats", None)
+    if stats is not None:
+        bench_record("sparse")[name] = {"mean_s": float(stats.stats.mean)}
+
+
+def test_bench_sampling_dense(benchmark, grid_pair, bench_record):
     n_cells, dense, _ = grid_pair
     if dense is None:
         pytest.skip(f"dense baseline not built above L = {DENSE_LIMIT}")
     assert benchmark(_sample, dense).shape == (_RUNS, _HORIZON)
+    _record_mean(benchmark, bench_record, f"sampling_dense_L{n_cells}")
 
 
-def test_bench_sampling_sparse(benchmark, grid_pair):
-    _, _, sparse = grid_pair
+def test_bench_sampling_sparse(benchmark, grid_pair, bench_record):
+    n_cells, _, sparse = grid_pair
     assert benchmark(_sample, sparse).shape == (_RUNS, _HORIZON)
+    _record_mean(benchmark, bench_record, f"sampling_sparse_L{n_cells}")
 
 
 def test_bench_scoring_dense(benchmark, grid_pair):
@@ -157,3 +172,56 @@ def test_city_scale_runs_without_dense_arrays():
     assert path.shape == (20,)
     with pytest.raises(ValueError):
         _ = sparse.log_transition_matrix  # never densify 800 MB silently
+
+
+#: The step-kernel sweep: widths on both sides of the 32-entry split, a
+#: fleet's row count (one run stack of users) and a large batch.
+KERNEL_STATES = (10, 25, 100, 400, 1_000)
+KERNEL_ROWS = (50, 4_000)
+KERNEL_HORIZON = 200
+
+
+def _best_seconds(fn, repeats: int):
+    """``(best wall seconds, last result)`` over ``repeats`` calls."""
+    best, result = float("inf"), None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def test_step_kernel_beats_linear_count_oracle(bench_record):
+    """The step kernel against the linear-count oracle, bit for bit.
+
+    Rows of at most 32 entries take the same whole-row count as the
+    oracle, so at ``L = 10, 25`` the ratio is about 1; wider rows are
+    bisected once a step's whole-row gather reaches ``2**14`` values.
+    The assertion is at ``L = 400``, ``R = 4000``: at least 3x, best of
+    three on both sides.
+    """
+    rng = np.random.default_rng(2017)
+    record = {}
+    for n_states in KERNEL_STATES:
+        weights = rng.random((n_states, n_states))
+        chain = MarkovChain(weights / weights.sum(axis=1, keepdims=True))
+        chain.evolve_from_uniforms(np.zeros(1, dtype=np.int64), np.zeros((1, 1)))
+        for rows in KERNEL_ROWS:
+            initial = rng.integers(0, n_states, rows)
+            uniforms = rng.random((rows, KERNEL_HORIZON - 1))
+            repeats = 3 if (n_states, rows) == (400, 4_000) else 1
+            kernel_s, got = _best_seconds(
+                lambda: chain.evolve_from_uniforms(initial, uniforms), repeats
+            )
+            oracle_s, expected = _best_seconds(
+                lambda: evolve_linear(chain, initial, uniforms), repeats
+            )
+            assert np.array_equal(got, expected), (n_states, rows)
+            record[f"L{n_states}_R{rows}"] = {
+                "kernel_s": kernel_s,
+                "oracle_s": oracle_s,
+                "speedup": oracle_s / kernel_s,
+            }
+    bench_record("sparse")["step_kernel"] = record
+    speedup = record["L400_R4000"]["speedup"]
+    assert speedup >= 3.0, f"step kernel only {speedup:.2f}x the oracle at L=400"

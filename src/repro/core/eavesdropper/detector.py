@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ...mobility.markov import MarkovChain
-from .scoring import eq1_decide, eq1_scores
+from .scoring import TieBreakGenerators, eq1_decide, eq1_scores
 
 __all__ = [
     "TrajectoryDetector",
@@ -120,11 +120,12 @@ def _validated(
     trajectories: np.ndarray,
     rngs: Sequence[np.random.Generator],
     ndim: int,
-) -> tuple[np.ndarray, list[np.random.Generator]]:
+) -> tuple[np.ndarray, Sequence[np.random.Generator]]:
     """An ``(N, T)`` plane or ``(R, N, T)`` batch and its generators.
 
     Cells must lie in ``[-1, L)`` (``-1`` marks an unobserved slot).  A
-    plane needs at least one generator, a batch exactly one per run.
+    plane needs at least one generator, a batch exactly one per run; a
+    :class:`TieBreakGenerators` passes through unspawned.
     """
     observed = np.asarray(trajectories, dtype=np.int64)
     if observed.ndim != ndim or observed.size == 0:
@@ -132,7 +133,7 @@ def _validated(
         raise ValueError(f"trajectories must be a non-empty {shape} array")
     if observed.min() < -1 or observed.max() >= chain.n_states:
         raise ValueError("trajectories contain out-of-range cells")
-    generators = list(rngs)
+    generators = rngs if isinstance(rngs, TieBreakGenerators) else list(rngs)
     if ndim == 3 and len(generators) != observed.shape[0]:
         raise ValueError("need exactly one generator per run")
     if not generators:
@@ -260,7 +261,7 @@ class TrajectoryDetector(abc.ABC):
         self,
         chain: MarkovChain,
         observed: np.ndarray,
-        rngs: list[np.random.Generator],
+        rngs: Sequence[np.random.Generator],
         transition_stack: np.ndarray | None,
     ) -> BatchDetectionOutcome:
         scores = self.row_scores(chain, [observed], transition_stack=transition_stack)

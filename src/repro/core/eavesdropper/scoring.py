@@ -18,7 +18,7 @@ different slots stay comparable.
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence, overload
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from ...numerics import safe_log
 if TYPE_CHECKING:
     from ...adversary.score_cache import ScoreComponentCache
 
-__all__ = ["eq1_scores", "eq1_decide"]
+__all__ = ["eq1_scores", "eq1_decide", "TieBreakGenerators"]
 
 
 def _shifted(
@@ -188,6 +188,39 @@ def eq1_scores(
     return np.where(full, scores, rates)
 
 
+class TieBreakGenerators(Sequence[np.random.Generator]):
+    """``spawn_generators(seed, n)``, spawned on first access.
+
+    The fleet evaluations pass one per run: :func:`eq1_decide` reads only
+    ``len()`` when a single candidate is left, so a tie-free plane never
+    builds the ``n`` generators.
+    """
+
+    def __init__(self, seed: "int | np.random.SeedSequence", n: int) -> None:
+        self.seed = seed
+        self.n = n
+        self._generators: list[np.random.Generator] | None = None
+
+    def __len__(self) -> int:
+        return self.n
+
+    @overload
+    def __getitem__(self, index: int) -> np.random.Generator: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[np.random.Generator]: ...
+
+    def __getitem__(
+        self, index: int | slice
+    ) -> np.random.Generator | list[np.random.Generator]:
+        if self._generators is None:
+            # Deferred: repro.sim imports the detectors.
+            from ...sim.seeding import spawn_generators
+
+            self._generators = spawn_generators(self.seed, self.n)
+        return self._generators[index]
+
+
 def eq1_decide(
     scores: np.ndarray,
     rngs: Sequence[np.random.Generator],
@@ -199,11 +232,14 @@ def eq1_decide(
     generator, in order, makes exactly one draw
     ``candidates[rng.integers(0, candidates.size)]`` — the stream
     ``rng.choice(candidates)`` consumes, so the draw order is part of the
-    seeding contract.  A ``nan`` score marks a row the detector did not
-    score (ruled out, or a guesser's); like ``-inf`` it is never a
-    candidate.  When no row has a finite score (nothing visible, every
-    row ruled out, or a guesser that scores nothing) every row is a
-    candidate, so the draw is a uniform guess ``rng.integers(0, N)``.
+    seeding contract.  With one candidate left that draw is
+    ``integers(0, 1)``, which consumes nothing, so no generator is
+    touched (a :class:`TieBreakGenerators` is never spawned).  A ``nan``
+    score marks a row the detector did not score (ruled out, or a
+    guesser's); like ``-inf`` it is never a candidate.  When no row has a
+    finite score (nothing visible, every row ruled out, or a guesser that
+    scores nothing) every row is a candidate, so the draw is a uniform
+    guess ``rng.integers(0, N)``.
 
     Returns ``(chosen, candidates)``: the length-``len(rngs)`` chosen
     rows and the candidate rows they were drawn from.
@@ -217,6 +253,8 @@ def eq1_decide(
     else:
         candidates = np.flatnonzero(scores >= best - tolerance)
     size = candidates.size
+    if size == 1:
+        return np.full(len(rngs), candidates[0], dtype=np.int64), candidates
     chosen = np.array(
         [candidates[rng.integers(0, size)] for rng in rngs], dtype=np.int64
     )

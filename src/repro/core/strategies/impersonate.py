@@ -48,8 +48,8 @@ class ImpersonatingStrategy(ChaffStrategy):
     ) -> np.ndarray:
         """Vectorised batch: all ``R * n_chaffs`` chaffs evolve together.
 
-        Randomness is drawn per run in the scalar order (initial state,
-        then the uniform block, chaff by chaff), then the combined
+        Each run's generator fills its ``n_chaffs`` rows with one draw,
+        in the scalar order (chaff by chaff), then the combined
         ``(R * n_chaffs, T)`` ensemble takes each time step in one numpy
         operation.
         """
@@ -57,13 +57,5 @@ class ImpersonatingStrategy(ChaffStrategy):
             chain, user_trajectories, n_chaffs, rngs
         )
         n_runs, horizon = users.shape
-        initial = np.empty(n_runs * n_chaffs, dtype=np.int64)
-        uniforms = np.empty((n_runs * n_chaffs, max(horizon - 1, 0)), dtype=float)
-        for run, rng in enumerate(rngs):
-            for chaff in range(n_chaffs):
-                row = run * n_chaffs + chaff
-                initial[row], uniforms[row] = chain.sample_trajectory_randomness(
-                    horizon, rng
-                )
-        flat = chain.evolve_from_uniforms(initial, uniforms)
+        flat = chain.sample_trajectories_batch(horizon, rngs, per_rng=n_chaffs)
         return flat.reshape(n_runs, n_chaffs, horizon)

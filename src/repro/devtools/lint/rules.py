@@ -274,6 +274,8 @@ _RPL003_ATTRS = {
     "log_transition_entries() / transition_edges()",
     "_log_transition": "log_transition_entries()",
     "_cumulative_transition": "evolve_from_uniforms() / sample_next_state()",
+    "_sampling_cache": "evolve_from_uniforms() / sample_trajectories_batch()",
+    "_stack_cumulative": "evolve_from_uniforms(transition_stack=...)",
     "_log_data": "log_transition_entries()",
     "_flat_keys": "log_transition_entries()",
     "_dense_cache": "dense_transition()",

@@ -7,7 +7,7 @@ the eavesdropper's :class:`FleetObservationPlane`.
 """
 
 from .topology import EdgeSite, MECTopology
-from .service import ServiceIdAllocator, ServiceInstance, ServiceKind
+from .service import ServiceInstance, ServiceKind
 from .costs import CostLedger, CostModel
 from .policies import (
     AlwaysFollowPolicy,
@@ -37,7 +37,6 @@ from .streaming import StreamingFleetEngine, StreamingFleetReport
 __all__ = [
     "EdgeSite",
     "MECTopology",
-    "ServiceIdAllocator",
     "ServiceInstance",
     "ServiceKind",
     "CostLedger",

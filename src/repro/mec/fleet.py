@@ -21,12 +21,19 @@ the single-user setting is its ``M = 1`` case:
 The two engines, ``"batch"`` (default) and ``"stream"``, produce
 bit-identical results for the same seed.  Both are a stack of one run of
 :func:`repro.mec.runstack.run_stacked`, the one in-memory driver: it
-samples through the batched APIs (:meth:`ChaffStrategy.generate_batch`,
-:meth:`MarkovChain.evolve_from_uniforms`) and advances
+samples through the batched APIs
+(:meth:`MarkovChain.sample_trajectories_batch`,
+:meth:`ChaffStrategy.generate_batch`) in packed blocks of whole runs,
+written in place into the stacked planes
+(:meth:`FleetSimulation._sample_runs`), and advances
 :class:`_FleetSlotKernel` through its single slot loop,
-:meth:`_FleetSlotKernel.advance`.  The naive per-user/per-service Python
-walk that the equivalence tests and the speedup benchmarks compare
-against lives with the tests, in ``tests/reference/``.
+:meth:`_FleetSlotKernel.advance`.  Evaluation breaks Eq. (1) ties with
+per-user generators of the run's evaluation seed, spawned only when a
+plane has a tie
+(:class:`~repro.core.eavesdropper.scoring.TieBreakGenerators`).  The
+naive per-user/per-service Python walk that the equivalence tests and
+the speedup benchmarks compare against lives with the tests, in
+``tests/reference/``.
 
 All randomness of one run derives from a single
 :class:`~numpy.random.SeedSequence` (children spawned per user, for the
@@ -53,10 +60,11 @@ from typing import Sequence
 import numpy as np
 
 from ..core.eavesdropper.detector import MaximumLikelihoodDetector, TrajectoryDetector
+from ..core.eavesdropper.scoring import TieBreakGenerators
 from ..core.strategies.base import ChaffStrategy
 from ..mobility.markov import MarkovChain
 from ..sim.parallel import get_shared, parallel_map, resolve_workers, shard_slices
-from ..sim.seeding import as_seed_sequence, spawn_generators, spawn_sequences_range
+from ..sim.seeding import as_seed_sequence, spawn_sequences_range
 from ..telemetry import NULL_RECORDER
 from ..world.timeline import Timeline, WorldSchedule
 from .costs import CostLedger, CostModel
@@ -86,9 +94,9 @@ __all__ = [
 #: Engines accepted by :meth:`FleetSimulation.run`.
 FLEET_ENGINES = ("batch", "stream")
 
-#: Target element budget of one bounded sampling block (users x horizon x
-#: services-per-user); blocks shrink as the horizon grows, keeping the
-#: sampler's heap roughly constant in ``T``.
+#: Target element budget of one sampling block (runs x services x horizon):
+#: whole runs are packed up to it, a larger run is split into user ranges,
+#: so the sampler's heap stays roughly constant in ``S``, ``M`` and ``T``.
 _BLOCK_TARGET_ELEMS = 1 << 20
 
 #: Elements above which :func:`materialise_full_plane` refuses to allocate.
@@ -324,7 +332,7 @@ class FleetReport:
         chosen = detector.detect_crowd(
             chain,
             traj,
-            spawn_generators(seed, self.n_users),
+            TieBreakGenerators(seed, self.n_users),
             transition_stack=self.transition_stack,
         )
         masked = windows_censor(self.windows, self.horizon)
@@ -746,8 +754,8 @@ class FleetSimulation:
 
         ``engine="batch"`` (default) and ``engine="stream"`` run a stack of
         one through :meth:`run_stacked`: batch advances the whole horizon
-        as one window, stream advances ``chunk_slots``-sized windows with
-        bounded sampling blocks, optionally sharding placement over
+        as one window, stream advances ``chunk_slots``-sized windows,
+        optionally sharding placement over
         ``regions`` topology regions (``region_workers`` threads).  Both
         are bit-identical for the same ``seed`` — the streaming knobs
         change execution, never results.
@@ -834,58 +842,87 @@ class FleetSimulation:
         is_real[np.cumsum(per_user) - per_user] = True
         return owners, is_real, np.arange(owners.size, dtype=np.int64)
 
-    def _sample_user(
-        self, user: int, rng: np.random.Generator
-    ) -> tuple[int, np.ndarray]:
-        """One user's trajectory randomness in the canonical draw order."""
+    def _sample_runs(
+        self,
+        run_rngs: "list[list[np.random.Generator]]",
+        users_out: np.ndarray,
+        plans_out: np.ndarray,
+    ) -> None:
+        """Phase A: sample a stack of runs straight into its planes.
+
+        ``run_rngs`` holds each run's per-user generators; ``users_out`` is
+        the run-major ``(S * M, T)`` user plane and ``plans_out`` the
+        ``(S * N, T)`` service plans in service-id order (a user's real row
+        holds the user's trajectory as a placeholder), both written in
+        place (memmaps too).  Whole runs are packed into one block while
+        ``runs * N * T <= _BLOCK_TARGET_ELEMS``; a larger run is split into
+        user ranges of at most that many plan elements.  Every user draws
+        only from their own generator — trajectory first, then chaffs —
+        so any blocking is bit-identical to sampling each run whole.
+        """
         horizon = self.config.horizon
-        if self.config.start_cells is not None:
-            initial = int(self.config.start_cells[user])
-            uniforms = (
-                rng.random(horizon - 1) if horizon > 1 else np.empty(0, dtype=float)
+        n_users = self.config.n_users
+        per_user = 1 + np.asarray(self.config.chaffs_per_user(), dtype=np.int64)
+        first_row = np.concatenate([[0], np.cumsum(per_user)])
+        n_services = int(first_row[-1])
+        runs_per_block = _BLOCK_TARGET_ELEMS // (n_services * horizon)
+        users_per_block = n_users
+        if runs_per_block == 0:
+            runs_per_block = 1
+            users_per_block = max(
+                1, _BLOCK_TARGET_ELEMS // (horizon * int(per_user.max()))
             )
-            return initial, uniforms
-        return self.chain.sample_trajectory_randomness(horizon, rng)
+        for first in range(0, len(run_rngs), runs_per_block):
+            last = min(first + runs_per_block, len(run_rngs)) - 1
+            for start in range(0, n_users, users_per_block):
+                stop = min(start + users_per_block, n_users)
+                # Rows of users [start, stop) of runs first..last: contiguous
+                # whether the block holds whole runs or one run's range.
+                plan_start = first * n_services + first_row[start]
+                plan_stop = last * n_services + first_row[stop]
+                self._sample_block(
+                    run_rngs[first : last + 1],
+                    start,
+                    stop,
+                    users_out[first * n_users + start : last * n_users + stop],
+                    plans_out[plan_start:plan_stop],
+                )
 
     def _sample_block(
         self,
         run_rngs: "list[list[np.random.Generator]]",
         start: int,
         stop: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Sample users ``[start, stop)`` of a stack of runs, with plans.
+        users: np.ndarray,
+        plans: np.ndarray,
+    ) -> None:
+        """Sample users ``[start, stop)`` of a stack of runs into ``users`` / ``plans``.
 
-        ``run_rngs`` holds each run's per-user generators.  Returns
-        ``(users, plans)``, both run-major: the ``(S * count, T)`` user
-        trajectories and the block's service plans in service-id order
-        (each user's real row holds the user's own trajectory as a
-        placeholder; real targets are policy-driven per slot).  All
-        trajectories evolve in one vectorised shot, and each (strategy,
-        budget) group's chaffs come from one ``generate_batch`` call
-        across the stack.  Every user's draws come only from that user's
-        generator — trajectory randomness first, then chaffs — so any
-        blocking or stacking of the fleet is bit-identical to sampling
-        each run whole (:meth:`_sample_bounded` walks bounded blocks).
+        Every trajectory comes from one
+        :meth:`~repro.mobility.markov.MarkovChain.sample_trajectories_batch`
+        call, and each (strategy, budget) group's chaffs from one
+        ``generate_batch`` call across the stack.
         """
         horizon = self.config.horizon
         budgets = self.config.chaffs_per_user()[start:stop]
         count = stop - start
         stack_size = len(run_rngs)
-        initial = np.empty(stack_size * count, dtype=np.int64)
-        uniforms = np.empty((stack_size * count, max(horizon - 1, 0)), dtype=float)
-        for run, rngs in enumerate(run_rngs):
-            for position in range(count):
-                initial[run * count + position], uniforms[run * count + position] = (
-                    self._sample_user(start + position, rngs[start + position])
-                )
-        users = self.chain.evolve_from_uniforms(
-            initial, uniforms, transition_stack=self._stack
+        start_cells = self.config.start_cells
+        self.chain.sample_trajectories_batch(
+            horizon,
+            [rngs[user] for rngs in run_rngs for user in range(start, stop)],
+            start_cells=(
+                None
+                if start_cells is None
+                else np.tile(np.asarray(start_cells[start:stop]), stack_size)
+            ),
+            transition_stack=self._stack,
+            out=users,
         )
         per_user = 1 + np.asarray(budgets, dtype=np.int64)
         first_row = np.concatenate([[0], np.cumsum(per_user[:-1])]).astype(np.int64)
         rows_per_run = int(per_user.sum())
         run_base = np.arange(stack_size, dtype=np.int64)[:, None] * rows_per_run
-        plans = np.empty((stack_size * rows_per_run, horizon), dtype=np.int64)
         plans[(run_base + first_row).ravel()] = users
         groups: dict[tuple[int, int], list[int]] = {}
         for position, budget in enumerate(budgets):
@@ -906,28 +943,6 @@ class FleetSimulation:
             first_chaff = (run_base + first_row[positions]).ravel() + 1
             rows = (first_chaff[:, None] + np.arange(budget)).ravel()
             plans[rows] = chaffs.reshape(-1, horizon)
-        return users, plans
-
-    def _sample_bounded(
-        self,
-        rngs: "list[np.random.Generator]",
-        users_out: np.ndarray,
-        plans_out: np.ndarray,
-    ) -> None:
-        """Sample the whole fleet into ``users_out`` / ``plans_out`` in
-        user blocks of at most ``_BLOCK_TARGET_ELEMS`` plan elements, so
-        the sampler's working set stays bounded whatever ``M`` is."""
-        horizon = self.config.horizon
-        n_users = self.config.n_users
-        widest = 1 + max(self.config.chaffs_per_user())
-        block = max(1, _BLOCK_TARGET_ELEMS // max(horizon * widest, 1))
-        row = 0
-        for start in range(0, n_users, block):
-            stop = min(start + block, n_users)
-            users_block, plans_block = self._sample_block([rngs], start, stop)
-            users_out[start:stop] = users_block
-            plans_out[row : row + plans_block.shape[0]] = plans_block
-            row += plans_block.shape[0]
 
     def _decide_real_targets(
         self, service_cells: np.ndarray, user_cells: np.ndarray

@@ -15,7 +15,10 @@ Stacking is an execution knob, never a modelling change:
 * **Sampling** draws every run's randomness from that run's own
   SeedSequence children in the canonical order (each user consumes only
   its own generator), so the stacked trajectories and chaff plans equal
-  the per-episode ones bit for bit.
+  the per-episode ones bit for bit.  Both engines sample through
+  :meth:`~repro.mec.fleet.FleetSimulation._sample_runs`: whole runs
+  packed into blocks of at most ``_BLOCK_TARGET_ELEMS`` plan elements,
+  written in place into the stacked planes.
 * **Placement** keeps one serial :class:`PlacementEngine` per run, but
   rebinds each engine's load vector to a view into one ``(S * L,)``
   stacked load array.  Each slot first tries to settle *all* runs with
@@ -35,8 +38,8 @@ Stacking is an execution knob, never a modelling change:
   :meth:`FleetReport.evaluate` decision by decision.
 
 Batch runs the slot loop (:meth:`~repro.mec.fleet._FleetSlotKernel.advance`)
-as one ``[0, T)`` window.  ``engine="stream"`` samples each run in
-bounded user blocks and advances ``chunk_slots``-sized windows; a
+as one ``[0, T)`` window.  ``engine="stream"`` advances
+``chunk_slots``-sized windows; a
 dynamic world's windows are slices of the schedule the simulation
 compiled once.  Nothing is spilled: the resumable, disk-backed driver is
 :class:`~repro.mec.streaming.StreamingFleetEngine`.
@@ -50,8 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.eavesdropper.detector import TrajectoryDetector
-from ..core.eavesdropper.scoring import eq1_decide
-from ..sim.seeding import spawn_generators
+from ..core.eavesdropper.scoring import TieBreakGenerators, eq1_decide
 from ..telemetry import NULL_RECORDER
 from .costs import CostLedger
 from .fleet import (
@@ -468,7 +470,7 @@ class StackedRunOutcome:
                 order = self.orders[run]
                 chosen = eq1_decide(
                     scores_all[run][order],
-                    spawn_generators(self.evaluation_seeds[run], n_users),
+                    TieBreakGenerators(self.evaluation_seeds[run], n_users),
                     detector.tolerance,
                 )[0]
                 base = run * n_users
@@ -548,25 +550,14 @@ def run_stacked(
     # Phase A: sample every run from its own SeedSequence children, in
     # the canonical order — every user draws only from their own
     # generator (trajectory randomness first, then that user's chaffs),
-    # so any regrouping of the draws across runs is bit-identical to
-    # sampling the runs one at a time.
+    # so packing runs into blocks is bit-identical to sampling the runs
+    # one at a time.
     sample_token = recorder.begin(
         "kernel/sample", engine=engine, runs=stack_size, users=n_users
     )
-    if stream:
-        # Bounded working set: each run walks its own user blocks.
-        users_st = np.empty((stack_size * n_users, horizon), dtype=np.int64)
-        plans_st = np.empty((stack_size * n_services, horizon), dtype=np.int64)
-        for run, user_rngs in enumerate(run_rngs):
-            sim._sample_bounded(
-                user_rngs,
-                users_st[run * n_users : (run + 1) * n_users],
-                plans_st[run * n_services : (run + 1) * n_services],
-            )
-    else:
-        # Amortised: the whole stack in one block, so the evolve and
-        # generate overhead is paid once per stack instead of per run.
-        users_st, plans_st = sim._sample_block(run_rngs, 0, n_users)
+    users_st = np.empty((stack_size * n_users, horizon), dtype=np.int64)
+    plans_st = np.empty((stack_size * n_services, horizon), dtype=np.int64)
+    sim._sample_runs(run_rngs, users_st, plans_st)
     recorder.end(sample_token)
 
     # Phase B: one chunk loop for the whole stack, writing straight into

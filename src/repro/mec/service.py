@@ -14,30 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-__all__ = ["ServiceKind", "ServiceInstance", "ServiceIdAllocator"]
-
-
-@dataclass
-class ServiceIdAllocator:
-    """Hands out unique service ids within one simulation scope.
-
-    A simulation (or a multi-user fleet) owns exactly one allocator and
-    threads it through every component that instantiates services, so ids
-    never collide when several users — or several composed simulations —
-    share one observation plane.
-    """
-
-    next_id: int = 0
-
-    def __post_init__(self) -> None:
-        if self.next_id < 0:
-            raise ValueError("next_id must be non-negative")
-
-    def allocate(self) -> int:
-        """The next unused service id."""
-        service_id = self.next_id
-        self.next_id += 1
-        return service_id
+__all__ = ["ServiceKind", "ServiceInstance"]
 
 
 class ServiceKind(enum.Enum):

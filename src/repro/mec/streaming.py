@@ -8,10 +8,11 @@ paper's privacy guarantees are population effects — detection falls like
 the one a full plane cannot reach.  :class:`StreamingFleetEngine` runs
 the *same* simulation as a disk-backed pipeline:
 
-* **Sampling** walks the fleet in bounded user blocks through the shared
-  :meth:`~repro.mec.fleet.FleetSimulation._sample_bounded` sampler into
-  disk-backed memmap planes of an :class:`~repro.sim.cache.EpisodeStore`
-  (every user draws only from their own generator, so block sampling is
+* **Sampling** writes straight into disk-backed memmap planes of an
+  :class:`~repro.sim.cache.EpisodeStore` through the shared
+  :meth:`~repro.mec.fleet.FleetSimulation._sample_runs` sampler, which
+  splits a fleet too large for one block into user ranges (every user
+  draws only from their own generator, so block sampling is
   bit-identical to whole-fleet sampling).
 * **The slot loop** advances the horizon in fixed-size chunks of
   ``chunk_slots`` slots through
@@ -49,10 +50,10 @@ from typing import Iterator
 import numpy as np
 
 from ..core.eavesdropper.detector import TrajectoryDetector
-from ..core.eavesdropper.scoring import eq1_decide
+from ..core.eavesdropper.scoring import TieBreakGenerators, eq1_decide
 from ..mobility.markov import MarkovChain
 from ..sim.cache import EpisodeStore
-from ..sim.seeding import as_seed_sequence, spawn_generators
+from ..sim.seeding import as_seed_sequence
 from ..telemetry import NULL_RECORDER
 from .costs import CostLedger
 from .fleet import (
@@ -274,7 +275,7 @@ class StreamingFleetReport:
                 transition_stack=self.simulation._stack,
             )
             chosen = eq1_decide(
-                scores, spawn_generators(seed, self.n_users), detector.tolerance
+                scores, TieBreakGenerators(seed, self.n_users), detector.tolerance
             )[0]
             masked = windows_censor(self.svc_windows, self.horizon)
             real_rows_id = np.flatnonzero(self.is_real)
@@ -350,7 +351,7 @@ class StreamingFleetEngine:
         store: EpisodeStore,
         user_rngs: "list[np.random.Generator]",
     ) -> None:
-        """Phase A: spill trajectories and plans in bounded user blocks."""
+        """Phase A: sample trajectories and plans into the memmap planes."""
         config = self.simulation.config
         users_plane = store.create_plane("users", (config.n_users, config.horizon))
         plans_plane = store.create_plane(
@@ -359,7 +360,7 @@ class StreamingFleetEngine:
         with self.recorder.span(
             "kernel/sample", engine="stream", users=config.n_users
         ):
-            self.simulation._sample_bounded(user_rngs, users_plane, plans_plane)
+            self.simulation._sample_runs([user_rngs], users_plane, plans_plane)
             users_plane.flush()
             plans_plane.flush()
         del users_plane, plans_plane

@@ -314,6 +314,87 @@ def total_variation_distance(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(p - q).sum())
 
 
+#: Rows at most this wide are stored as they are and counted whole; wider
+#: rows are padded for bisection (:func:`_step_table`).
+_LINEAR_COUNT_WIDTH = 32
+
+#: A padded table is bisected once a step's whole-row gather (rows x padded
+#: width) reaches this many values; below it the ``log2`` extra numpy calls
+#: per step cost more than they save (scalar sampling is one row).
+_BISECT_MIN_GATHER = 1 << 14
+
+
+@dataclass(frozen=True)
+class _StepTable:
+    """The inverse-CDF table one sampling step reads.
+
+    ``cumulative`` holds non-decreasing rows, ``(n, width)`` or, for a
+    time-varying chain, ``(T - 1, n, width)``.  A row at uniform ``u``
+    moves to the count of its entries ``<= u``, or to
+    ``successors[row, count]`` when ``successors`` (``(n, width + 1)``) is
+    set.  ``padded`` marks rows padded with ``+inf`` to a power of two
+    wider than the original width, the layout bisection needs.
+    """
+
+    cumulative: np.ndarray
+    padded: bool
+    successors: np.ndarray | None = None
+
+
+def _step_table(
+    cumulative: np.ndarray, successors: np.ndarray | None = None
+) -> _StepTable:
+    """The step table of non-decreasing rows, padded when wider than 32."""
+    width = cumulative.shape[-1]
+    if width <= _LINEAR_COUNT_WIDTH:
+        return _StepTable(cumulative, False, successors)
+    padded = np.full((*cumulative.shape[:-1], 1 << width.bit_length()), np.inf)
+    padded[..., :width] = cumulative
+    return _StepTable(padded, True, successors)
+
+
+def _walk(
+    table: _StepTable, initial: np.ndarray, uniforms: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Fill ``out`` (``(R, T)``) from ``initial`` states and ``(R, T - 1)`` uniforms.
+
+    The linear count compares each state's whole row with ``u``.  The
+    bisection descends a padded row by halves: after the probes at
+    offsets ``W/2 .. 1`` it sits at the count of entries ``<= u`` (the
+    ``+inf`` padding is never counted, and ``W`` exceeds the original
+    width, so every count is reachable).  Both return the same count.
+    """
+    cumulative = table.cumulative
+    per_step = cumulative.ndim == 3
+    n_rows, width = cumulative.shape[-2:]
+    bisect = table.padded and out.shape[0] * width >= _BISECT_MIN_GATHER
+    flat = cumulative.reshape(-1)
+    halves = [width >> shift for shift in range(1, width.bit_length())]
+    probes = [flat[half - 1 :] for half in halves]
+    successors = table.successors
+    next_of = None if successors is None else successors.reshape(-1)
+    stride = 0 if successors is None else successors.shape[1]
+    out[:, 0] = initial
+    states = initial
+    for t in range(1, out.shape[1]):
+        u = uniforms[:, t - 1]
+        if bisect:
+            base = states * width
+            if per_step:
+                base += (t - 1) * n_rows * width
+            index = base.copy()
+            u = np.ascontiguousarray(u)
+            for half, probe in zip(halves, probes):
+                index += (probe[index] <= u) * half
+            counts = index - base
+        else:
+            rows = (cumulative[t - 1] if per_step else cumulative)[states]
+            counts = (rows <= u[:, None]).sum(axis=1)
+        states = counts if next_of is None else next_of[states * stride + counts]
+        out[:, t] = states
+    return out
+
+
 #: Backwards-compatible alias for the shared helper.
 _safe_log = safe_log
 
@@ -350,14 +431,19 @@ class MarkovChain:
     _stationary: np.ndarray = field(init=False, repr=False)
     _log_transition: np.ndarray = field(init=False, repr=False)
     _cumulative_transition: np.ndarray = field(init=False, repr=False)
-    #: One-entry memo of the last transition stack's cumulative form,
-    #: keyed by object identity (the fleet passes the same immutable
-    #: stack for every user of every run, so the cumsum is computed once).
-    _stack_cumulative: "tuple[object, np.ndarray] | None" = field(
+    #: The chain's own step table (:meth:`_static_steps`), built on first
+    #: use and left out of pickles (:meth:`__getstate__`).
+    _sampling_cache: "_StepTable | None" = field(
         init=False, repr=False, default=None
     )
-    #: Lazily-built cumulative initial distribution for the inverse-CDF
-    #: fast path of :meth:`sample_initial_state`.
+    #: One-entry memo of the last transition stack's step table, keyed by
+    #: object identity (the fleet passes the same immutable stack for
+    #: every user of every run, so the table is built once).
+    _stack_cumulative: "tuple[object, _StepTable] | None" = field(
+        init=False, repr=False, default=None
+    )
+    #: Lazily-built cumulative initial distribution the initial states
+    #: are drawn from (:meth:`_initial_states`).
     _cumulative_initial: "np.ndarray | None" = field(
         init=False, repr=False, default=None
     )
@@ -480,57 +566,45 @@ class MarkovChain:
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
-    def sample_initial_state(self, rng: np.random.Generator) -> int:
-        """Draw the first state from the initial distribution.
+    def _initial_states(self, draws: np.ndarray) -> np.ndarray:
+        """Initial states of uniform ``draws`` by inverse CDF.
 
-        Inverse-CDF sampling on a cached cumulative initial distribution,
-        consuming exactly one uniform — the same draw, and the same float
-        comparisons (cumulative sum renormalised by its last entry), as
-        ``rng.choice(n, p=...)``, which is an order of magnitude slower in
-        the per-(run, user) sampling loops of the fleet Monte-Carlo.
+        The cumulative initial distribution is cached and renormalised by
+        its last entry: the same draw, and the same float comparisons, as
+        ``rng.choice(n, p=...)``.
         """
         cumulative = self._cumulative_initial
         if cumulative is None:
             cumulative = np.cumsum(self.initial_distribution)
             cumulative /= cumulative[-1]
             self._cumulative_initial = cumulative
-        return int(
-            min(
-                np.searchsorted(cumulative, rng.random(), side="right"),
-                self.n_states - 1,
-            )
+        return np.minimum(
+            np.searchsorted(cumulative, draws, side="right"), self.n_states - 1
         )
+
+    def _static_steps(self) -> _StepTable:
+        """The step table of this chain's own matrix, built on first use.
+
+        Row ``i`` holds the running sums of ``P[i]`` without the last one,
+        so the count of entries ``<= u`` is the next state, already
+        clamped to ``L - 1`` for a ``u`` at or above the row total.
+        """
+        if self._sampling_cache is None:
+            self._sampling_cache = _step_table(self._cumulative_transition[:, :-1])
+        return self._sampling_cache
+
+    def __getstate__(self) -> dict[str, object]:
+        """Pickle without the step table (up to 2x the matrix); it is rebuilt."""
+        state = dict(self.__dict__)
+        state.pop("_sampling_cache", None)
+        return state
 
     def sample_next_state(self, state: int, rng: np.random.Generator) -> int:
-        """Draw the next state given the current ``state``."""
+        """Draw the next state given the current ``state`` (one uniform)."""
         self._check_state(state)
-        # Inverse-CDF sampling on the precomputed cumulative rows is an order
-        # of magnitude faster than rng.choice for the tight sampling loops of
-        # the Monte-Carlo experiments.
-        cumulative = self._cumulative_transition[state]
-        return int(
-            min(np.searchsorted(cumulative, rng.random(), side="right"),
-                self.n_states - 1)
-        )
-
-    def sample_trajectory_randomness(
-        self, length: int, rng: np.random.Generator
-    ) -> tuple[int, np.ndarray]:
-        """Draw the randomness for one trajectory in the canonical order.
-
-        One initial-state draw followed by one block of ``length - 1``
-        uniforms.  Every sampling path — scalar and batched — draws
-        through this helper, which is what guarantees that batched
-        execution consumes each generator exactly like repeated scalar
-        calls (the bit-identity contract of the batch engine).
-        """
-        if length <= 0:
-            raise ValueError("trajectory length must be positive")
-        initial = self.sample_initial_state(rng)
-        uniforms = (
-            rng.random(length - 1) if length > 1 else np.empty(0, dtype=float)
-        )
-        return initial, uniforms
+        out = np.empty((1, 2), dtype=np.int64)
+        _walk(self._static_steps(), np.array([state]), np.array([[rng.random()]]), out)
+        return int(out[0, 1])
 
     def sample_trajectory(
         self,
@@ -542,111 +616,90 @@ class MarkovChain:
     ) -> np.ndarray:
         """Sample a trajectory of ``length`` states.
 
-        Parameters
-        ----------
-        length:
-            Number of slots ``T`` (must be positive).
-        rng:
-            Source of randomness.
-        initial_state:
-            Optional fixed first state; otherwise drawn from the initial
-            distribution.
-        transition_stack:
-            Optional ``(T - 1, L, L)`` per-step transition matrices of a
-            time-varying chain; step ``t - 1`` governs the transition
-            into slot ``t``.  The initial state is still drawn from this
-            chain's initial distribution, and the randomness consumed is
-            identical to the stationary path — which is what keeps
-            empty-timeline dynamic runs bit-identical to static ones.
+        The one-row case of :meth:`sample_trajectories_batch`: the
+        generator draws ``length`` uniforms (``length - 1`` with a fixed
+        ``initial_state``), the first of which picks the initial state
+        from the initial distribution.
+
+        ``transition_stack`` is an optional ``(T - 1, L, L)`` stack of
+        per-step matrices of a time-varying chain; step ``t - 1`` governs
+        the transition into slot ``t``.  The randomness consumed is the
+        same as on the stationary path, which is what keeps empty-timeline
+        dynamic runs bit-identical to static ones.
         """
-        if length <= 0:
-            raise ValueError("trajectory length must be positive")
-        trajectory = np.empty(length, dtype=np.int64)
-        if initial_state is None:
-            first, uniforms = self.sample_trajectory_randomness(length, rng)
-            trajectory[0] = first
-        else:
-            self._check_state(initial_state)
-            trajectory[0] = initial_state
-            uniforms = (
-                rng.random(length - 1) if length > 1 else np.empty(0, dtype=float)
-            )
-        if length > 1:
-            per_step = (
-                None
-                if transition_stack is None
-                else self._cumulative_stack(transition_stack, length)
-            )
-            last = self.n_states - 1
-            state = int(trajectory[0])
-            for t in range(1, length):
-                cumulative = (
-                    self._cumulative_transition[state]
-                    if per_step is None
-                    else per_step[t - 1, state]
-                )
-                state = int(
-                    min(
-                        np.searchsorted(cumulative, uniforms[t - 1], side="right"),
-                        last,
-                    )
-                )
-                trajectory[t] = state
-        return trajectory
+        return self.sample_trajectories_batch(
+            length,
+            [rng],
+            start_cells=None if initial_state is None else [initial_state],
+            transition_stack=transition_stack,
+        )[0]
 
     def sample_trajectories(
         self, count: int, length: int, rng: np.random.Generator
     ) -> np.ndarray:
         """Sample ``count`` independent trajectories as a ``(count, length)`` array.
 
-        Draws randomness in exactly the same per-trajectory order as
-        repeated :meth:`sample_trajectory` calls (initial-state draw, then
-        the uniform block), so the output is bit-identical to stacking
-        scalar samples — but the chain evolution itself is vectorised over
-        all trajectories, turning ``count * length`` Python iterations into
-        ``length`` numpy steps.
+        One generator filling ``count`` rows: bit-identical to stacking
+        ``count`` scalar :meth:`sample_trajectory` calls on ``rng``.
         """
         if count <= 0:
             raise ValueError("count must be positive")
-        if length <= 0:
-            raise ValueError("trajectory length must be positive")
-        initial = np.empty(count, dtype=np.int64)
-        uniforms = np.empty((count, max(length - 1, 0)), dtype=float)
-        for row in range(count):
-            initial[row], uniforms[row] = self.sample_trajectory_randomness(
-                length, rng
-            )
-        return self.evolve_from_uniforms(initial, uniforms)
+        return self.sample_trajectories_batch(length, [rng], per_rng=count)
 
     def sample_trajectories_batch(
         self,
         length: int,
         rngs: Sequence[np.random.Generator],
         *,
+        per_rng: int = 1,
+        start_cells: "Sequence[int] | np.ndarray | None" = None,
         transition_stack: np.ndarray | None = None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Sample one trajectory per generator as an ``(len(rngs), length)`` array.
+        """Sample ``per_rng`` trajectories per generator, rows in generator order.
 
-        Each row consumes its generator exactly like a scalar
-        :meth:`sample_trajectory` call would, so the batched Monte-Carlo
-        engine reproduces the looped engine's trajectories run for run.
-        ``transition_stack`` makes the evolution time-varying (see
-        :meth:`evolve_from_uniforms`) without changing the draw order.
+        Generator ``g`` fills rows ``[g * per_rng, (g + 1) * per_rng)`` of
+        one ``(R, length)`` uniform buffer with a single
+        ``rng.random(out=...)`` call; every column 0 then maps to an
+        initial state through one ``searchsorted``, and the other columns
+        drive :meth:`evolve_from_uniforms`.  For a fresh generator
+        ``random()`` followed by ``random(T - 1)`` equals ``random(T)``,
+        and ``random((k, T))`` equals ``k`` calls of ``random(T)``, so
+        every row consumes its generator exactly like a scalar
+        :meth:`sample_trajectory` call would.
+
+        ``start_cells`` fixes each row's first state; each generator then
+        draws only ``(per_rng, length - 1)`` uniforms.  ``transition_stack``
+        makes the evolution time-varying (see :meth:`evolve_from_uniforms`)
+        without changing the draw order.  ``out`` is an ``(R, length)``
+        int64 destination written in place (a slice of a larger plane,
+        possibly a memmap); it is also what is returned.
         """
         rngs = list(rngs)
         if not rngs:
             raise ValueError("need at least one generator")
+        if per_rng <= 0:
+            raise ValueError("per_rng must be positive")
         if length <= 0:
             raise ValueError("trajectory length must be positive")
-        initial = np.empty(len(rngs), dtype=np.int64)
-        uniforms = np.empty((len(rngs), max(length - 1, 0)), dtype=float)
-        for row, rng in enumerate(rngs):
-            initial[row], uniforms[row] = self.sample_trajectory_randomness(
-                length, rng
-            )
-        return self.evolve_from_uniforms(
-            initial, uniforms, transition_stack=transition_stack
-        )
+        rows = len(rngs) * per_rng
+        if out is None:
+            out = np.empty((rows, length), dtype=np.int64)
+        elif out.shape != (rows, length):
+            raise ValueError(f"out must be ({rows}, {length}), got {out.shape}")
+        fixed = start_cells is not None
+        draws = np.empty((rows, length - fixed))
+        for index, rng in enumerate(rngs):
+            rng.random(out=draws[index * per_rng : (index + 1) * per_rng])
+        if fixed:
+            initial = np.asarray(start_cells, dtype=np.int64)
+            if initial.shape != (rows,):
+                raise ValueError(f"need {rows} start cells, got {initial.shape}")
+            if rows and (initial.min() < 0 or initial.max() >= self.n_states):
+                raise ValueError("start cells out of range")
+        else:
+            initial, draws = self._initial_states(draws[:, 0]), draws[:, 1:]
+        return _walk(self._steps(transition_stack, length), initial, draws, out)
 
     def _validate_transition_stack(
         self, stack: np.ndarray, length: int
@@ -670,8 +723,8 @@ class MarkovChain:
             )
         return arr
 
-    def _cumulative_stack(self, stack: np.ndarray, length: int) -> np.ndarray:
-        """The per-step cumulative rows of a transition stack, memoized.
+    def _cumulative_stack(self, stack: np.ndarray, length: int) -> _StepTable:
+        """The per-step table of a transition stack, memoized.
 
         The memo holds a strong reference to the stack object and is keyed
         by identity, so repeated sampling calls against one simulation's
@@ -681,14 +734,20 @@ class MarkovChain:
         if (
             cached is not None
             and cached[0] is stack
-            and cached[1].shape[0] == length - 1
+            and cached[1].cumulative.shape[0] == length - 1
         ):
             return cached[1]
         cumulative = np.cumsum(
             self._validate_transition_stack(stack, length), axis=2
         )
-        self._stack_cumulative = (stack, cumulative)
-        return cumulative
+        steps = _step_table(cumulative[..., :-1])
+        self._stack_cumulative = (stack, steps)
+        return steps
+
+    def _steps(self, transition_stack: np.ndarray | None, length: int) -> _StepTable:
+        if transition_stack is None:
+            return self._static_steps()
+        return self._cumulative_stack(transition_stack, length)
 
     def evolve_from_uniforms(
         self,
@@ -700,11 +759,19 @@ class MarkovChain:
         """Evolve many trajectories from initial states and uniform draws.
 
         ``initial_states`` has shape ``(R,)`` and ``uniforms`` shape
-        ``(R, T - 1)``; returns an ``(R, T)`` int64 array.  Each step is
-        the same inverse-CDF lookup as :meth:`sample_next_state` — counting
-        how many cumulative-row entries are ``<= u`` matches
-        ``searchsorted(..., side="right")`` exactly — applied to all rows
-        at once.
+        ``(R, T - 1)``; returns an ``(R, T)`` int64 array.  Step ``t``
+        moves a row at state ``s`` with uniform ``u`` to the number of
+        running sums of ``P[s]`` that are ``<= u`` (the last sum left out,
+        which clamps a ``u`` at or above the row total to ``L - 1``).  The
+        sums of a row never decrease, so that count is what
+        ``searchsorted(..., side="right")`` returns, and any way of
+        counting gives the same state bit for bit.  The width of the rows
+        picks the way: rows of at most 32 entries are compared whole
+        (``R x width`` values per step).  Wider rows are padded with
+        ``+inf`` to a power of two ``W`` and bisected (``log2 W`` gathers
+        of ``R`` values per step) once ``R x W`` reaches ``2**14``; a
+        smaller call, such as one scalar trajectory, still compares whole
+        rows.
 
         With ``transition_stack`` (a ``(T - 1, L, L)`` stack of per-step
         matrices, e.g. from
@@ -720,23 +787,8 @@ class MarkovChain:
         if initial.size and (initial.min() < 0 or initial.max() >= self.n_states):
             raise ValueError("initial states out of range")
         length = u.shape[1] + 1
-        per_step = (
-            None
-            if transition_stack is None
-            else self._cumulative_stack(transition_stack, length)
-        )
-        trajectories = np.empty((initial.size, length), dtype=np.int64)
-        trajectories[:, 0] = initial
-        cumulative = self._cumulative_transition
-        last = self.n_states - 1
-        states = initial
-        for t in range(1, length):
-            rows = (
-                cumulative[states] if per_step is None else per_step[t - 1, states]
-            )
-            states = np.minimum((rows <= u[:, t - 1, None]).sum(axis=1), last)
-            trajectories[:, t] = states
-        return trajectories
+        out = np.empty((initial.size, length), dtype=np.int64)
+        return _walk(self._steps(transition_stack, length), initial, u, out)
 
     # ------------------------------------------------------------------
     # Likelihood

@@ -35,6 +35,8 @@ import scipy.sparse as sp
 from ..numerics import LOG_FLOOR, safe_log
 from .markov import (
     MarkovChain,
+    _step_table,
+    _StepTable,
     stationary_distribution,
     validate_sparse_transition_matrix,
     validate_transition_matrix,
@@ -186,9 +188,6 @@ class SparseMarkovChain(MarkovChain):
         #: gathers resolve (prev, next) pairs by binary search on these.
         self._flat_keys = rows * n + P.indices.astype(np.int64)
         self._entry_rows = rows
-        self._cumulative_transition = None
-        self._stack_cumulative = None
-        self._sampling_cache: tuple[np.ndarray, np.ndarray] | None = None
         self._dense_cache: np.ndarray | None = None
         self._dense_log_cache: np.ndarray | None = None
         self._predecessor_cache = None
@@ -267,16 +266,16 @@ class SparseMarkovChain(MarkovChain):
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
-    def _sampling_tables(self) -> tuple[np.ndarray, np.ndarray]:
+    def _static_steps(self) -> _StepTable:
         """Padded per-row cumulative probabilities and successor columns.
 
-        Row ``i`` of ``padded_cum`` holds the running cumulative sums of
-        the row's nonzero probabilities, padded on the right with the row
-        total; ``cols_ext[i, k]`` is the state reached when ``k`` of those
-        cumulative values are ``<= u``, padded with ``L - 1``.  Counting
-        ``padded_cum[i] <= u`` therefore reproduces the dense backend's
-        count over the full-row cumulative (including its clamp of
-        ``u >= 1`` overflows to the last state) exactly.
+        Row ``i`` of the table holds the running cumulative sums of the
+        row's nonzero probabilities, padded on the right with the row
+        total; ``successors[i, k]`` is the state reached when ``k`` of
+        those cumulative values are ``<= u``, padded with ``L - 1``.
+        Counting reproduces the dense backend's count over the full-row
+        cumulative (including its clamp of ``u >= 1`` overflows to the
+        last state) exactly.
         """
         if self._sampling_cache is None:
             P = self.transition_matrix
@@ -287,83 +286,12 @@ class SparseMarkovChain(MarkovChain):
             within = np.arange(P.nnz) - np.repeat(P.indptr[:-1], counts)
             padded = np.zeros((n, width), dtype=float)
             padded[rows_of, within] = P.data
-            padded_cum = np.cumsum(padded, axis=1)
-            cols_ext = np.full((n, width + 1), n - 1, dtype=np.int64)
-            cols_ext[rows_of, within] = P.indices
-            self._sampling_cache = (padded_cum, cols_ext)
+            successors = np.full((n, width + 1), n - 1, dtype=np.int64)
+            successors[rows_of, within] = P.indices
+            self._sampling_cache = _step_table(
+                np.cumsum(padded, axis=1), successors
+            )
         return self._sampling_cache
-
-    def sample_next_state(self, state: int, rng: np.random.Generator) -> int:
-        self._check_state(state)
-        padded_cum, cols_ext = self._sampling_tables()
-        count = int((padded_cum[state] <= rng.random()).sum())
-        return int(cols_ext[state, count])
-
-    def sample_trajectory(
-        self,
-        length: int,
-        rng: np.random.Generator,
-        *,
-        initial_state: int | None = None,
-        transition_stack: np.ndarray | None = None,
-    ) -> np.ndarray:
-        if transition_stack is not None:
-            # Per-step stacks are dense (T - 1, L, L) artefacts of the
-            # dynamic-world layer; the inherited path handles them.
-            return super().sample_trajectory(
-                length,
-                rng,
-                initial_state=initial_state,
-                transition_stack=transition_stack,
-            )
-        if length <= 0:
-            raise ValueError("trajectory length must be positive")
-        trajectory = np.empty(length, dtype=np.int64)
-        if initial_state is None:
-            first, uniforms = self.sample_trajectory_randomness(length, rng)
-            trajectory[0] = first
-        else:
-            self._check_state(initial_state)
-            trajectory[0] = initial_state
-            uniforms = (
-                rng.random(length - 1) if length > 1 else np.empty(0, dtype=float)
-            )
-        if length > 1:
-            padded_cum, cols_ext = self._sampling_tables()
-            state = int(trajectory[0])
-            for t in range(1, length):
-                count = int((padded_cum[state] <= uniforms[t - 1]).sum())
-                state = int(cols_ext[state, count])
-                trajectory[t] = state
-        return trajectory
-
-    def evolve_from_uniforms(
-        self,
-        initial_states: np.ndarray,
-        uniforms: np.ndarray,
-        *,
-        transition_stack: np.ndarray | None = None,
-    ) -> np.ndarray:
-        if transition_stack is not None:
-            return super().evolve_from_uniforms(
-                initial_states, uniforms, transition_stack=transition_stack
-            )
-        initial = np.asarray(initial_states, dtype=np.int64)
-        u = np.asarray(uniforms, dtype=float)
-        if initial.ndim != 1 or u.ndim != 2 or u.shape[0] != initial.size:
-            raise ValueError("initial_states must be (R,) and uniforms (R, T - 1)")
-        if initial.size and (initial.min() < 0 or initial.max() >= self.n_states):
-            raise ValueError("initial states out of range")
-        padded_cum, cols_ext = self._sampling_tables()
-        length = u.shape[1] + 1
-        trajectories = np.empty((initial.size, length), dtype=np.int64)
-        trajectories[:, 0] = initial
-        states = initial
-        for t in range(1, length):
-            counts = (padded_cum[states] <= u[:, t - 1, None]).sum(axis=1)
-            states = cols_ext[states, counts]
-            trajectories[:, t] = states
-        return trajectories
 
     # ------------------------------------------------------------------
     # Trellis support

@@ -16,7 +16,10 @@ so no configuration can select them:
 * :mod:`reference.optimal_offline` — Algorithm 1 solved one user
   trajectory at a time, the oracle of the batched layered DP;
 * :mod:`reference.placement` — the placement walks that rescan every
-  cell for the nearest free site, the oracle of the first-hit walk.
+  cell for the nearest free site, the oracle of the first-hit walk;
+* :mod:`reference.sampling` — trajectory randomness drawn one
+  trajectory at a time and the linear count over full cumulative rows,
+  the oracle of the sampling step kernel.
 
 ``tests/conftest.py`` and ``benchmarks/conftest.py`` put ``tests/`` on
 ``sys.path``, so both suites import this package as ``reference``.

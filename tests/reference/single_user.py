@@ -6,6 +6,7 @@ is an ``M = 1`` fleet).  This module keeps the original object-by-object
 walk of that setting, outside ``src/``, as the reference the fleet is
 checked against:
 
+* :class:`ServiceIdAllocator` hands out the service ids;
 * :class:`MigrationEngine` applies a migration policy to the real service,
   moves chaffs where they are told, and logs every instantiation and
   migration as a :class:`MigrationEvent` while charging a
@@ -35,7 +36,7 @@ from repro.core.eavesdropper.detector import TrajectoryDetector
 from repro.core.strategies.base import ChaffStrategy
 from repro.mec.costs import CostLedger, CostModel
 from repro.mec.policies import AlwaysFollowPolicy, MigrationPolicy
-from repro.mec.service import ServiceIdAllocator, ServiceInstance, ServiceKind
+from repro.mec.service import ServiceInstance, ServiceKind
 from repro.mec.topology import MECTopology
 from repro.mobility.markov import MarkovChain
 
@@ -43,6 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adversary.coverage import CoverageModel
 
 __all__ = [
+    "ServiceIdAllocator",
     "MigrationEvent",
     "MigrationEngine",
     "ObservationMatrix",
@@ -59,6 +61,28 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Migration engine: the policy applied to services, and the event log
 # ----------------------------------------------------------------------
+
+
+@dataclass
+class ServiceIdAllocator:
+    """Hands out unique service ids within one simulation scope.
+
+    A simulation owns exactly one allocator and threads it through every
+    component that instantiates services, so ids never collide when
+    several composed simulations share one observation plane.
+    """
+
+    next_id: int = 0
+
+    def __post_init__(self) -> None:
+        if self.next_id < 0:
+            raise ValueError("next_id must be non-negative")
+
+    def allocate(self) -> int:
+        """The next unused service id."""
+        service_id = self.next_id
+        self.next_id += 1
+        return service_id
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from repro.mec.fleet import (
     run_fleet_monte_carlo,
 )
 from repro.mec.placement import PlacementEngine, _WalkLoads
-from repro.mec.service import ServiceIdAllocator, ServiceInstance, ServiceKind
+from repro.mec.service import ServiceInstance, ServiceKind
 from repro.mec.topology import MECTopology
 from repro.mobility.grid import GridTopology
 from repro.mobility.models import paper_synthetic_models
@@ -48,6 +48,7 @@ from reference.single_user import (
     MECSimulation,
     MECSimulationConfig,
     MigrationEngine,
+    ServiceIdAllocator,
 )
 
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))

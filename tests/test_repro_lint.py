@@ -137,6 +137,16 @@ class TestRuleScoping:
     def test_out_of_scope_paths_are_clean(self, name, out_of_scope_path):
         assert lint_source(fixture(name), out_of_scope_path) == []
 
+    @pytest.mark.parametrize(
+        "attr", ["_cumulative_transition", "_sampling_cache", "_stack_cumulative"]
+    )
+    def test_rpl003_guards_the_sampling_tables(self, attr):
+        source = f"def f(chain):\n    return chain.{attr}\n"
+        findings = lint_source(source, "src/repro/mec/fleet.py")
+        assert [f.code for f in findings] == ["RPL003"]
+        assert "evolve_from_uniforms" in findings[0].message
+        assert lint_source(source, "src/repro/mobility/sparse.py") == []
+
     @pytest.mark.parametrize("layer", ["sim", "mec", "adversary", "world"])
     def test_rpl005_covers_every_pure_layer(self, layer):
         findings = lint_source(fixture("rpl005_bad"), f"src/repro/{layer}/module.py")

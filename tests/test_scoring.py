@@ -6,7 +6,10 @@ evaluation, so they are pinned here against brute force on tiny chains
 ``log pi(x_1) + sum_t log P(x_t, x_{t+1})``, masked scores the
 hand-computed per-observed-slot average, and the all-``-inf`` fallback
 the uniform draw ``rng.integers(0, N)``.  A property test checks that
-scoring window by window equals scoring the plane as one window.
+scoring window by window equals scoring the plane as one window.  The
+fleet's three evaluation sites must build their tie-break generators
+only for a plane with a tie, and then decide as the per-generator path
+always did.
 """
 
 from __future__ import annotations
@@ -19,8 +22,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.eavesdropper.scoring import eq1_decide, eq1_scores
+import repro.sim.seeding as seeding
+from repro.core.eavesdropper.detector import MaximumLikelihoodDetector
+from repro.core.eavesdropper.scoring import TieBreakGenerators, eq1_decide, eq1_scores
+from repro.core.strategies import get_strategy
+from repro.mec.fleet import FleetSimulation, FleetSimulationConfig
+from repro.mec.streaming import StreamingFleetEngine
+from repro.mec.topology import MECTopology
 from repro.mobility.markov import MarkovChain
+from repro.mobility.models import paper_synthetic_models
 from repro.mobility.sparse import as_backend
 from repro.sim.seeding import spawn_generators
 
@@ -135,6 +145,101 @@ class TestDecision:
     def test_needs_a_generator(self):
         with pytest.raises(ValueError, match="at least one generator"):
             eq1_decide(np.zeros(3), [], 1e-9)
+
+
+class TestTieBreakGenerators:
+    """Generators are spawned only when more than one candidate is left."""
+
+    @pytest.fixture
+    def spawns(self, monkeypatch):
+        calls = []
+        original = seeding.spawn_generators
+
+        def counting(seed, n, **kwargs):
+            calls.append(n)
+            return original(seed, n, **kwargs)
+
+        monkeypatch.setattr(seeding, "spawn_generators", counting)
+        return calls
+
+    def test_single_candidate_touches_no_generator(self, spawns):
+        chosen, candidates = eq1_decide(
+            np.array([-3.0, -1.0, -2.0]), TieBreakGenerators(4, 5), 1e-9
+        )
+        assert chosen.tolist() == [1] * 5 and candidates.tolist() == [1]
+        assert spawns == []
+
+    def test_tie_spawns_once_and_matches_the_generators(self, spawns):
+        scores = np.array([-1.0, -2.0, -1.0, -1.0])
+        lazy = eq1_decide(scores, TieBreakGenerators(11, 6), 1e-9)[0]
+        assert spawns == [6]
+        rngs = spawn_generators(11, 6)
+        assert lazy.tolist() == [[0, 2, 3][rng.integers(0, 3)] for rng in rngs]
+
+    @staticmethod
+    def _fleet(chain: MarkovChain, start_cells=None) -> FleetSimulation:
+        return FleetSimulation(
+            MECTopology.complete(chain.n_states, capacity=16),
+            chain,
+            strategy=get_strategy("IM"),
+            config=FleetSimulationConfig(
+                n_users=4, horizon=8, n_chaffs=1, start_cells=start_cells
+            ),
+        )
+
+    @staticmethod
+    def _three_sites(sim: FleetSimulation, seed: int) -> list[np.ndarray]:
+        """Chosen rows of the in-memory, streamed and run-stacked evaluations."""
+        detector = MaximumLikelihoodDetector()
+        report = sim.run(seed)
+        in_memory = report.evaluate(sim.chain, detector).chosen_rows
+        streamed = StreamingFleetEngine(sim).run(seed)
+        try:
+            chunked = streamed.evaluate(sim.chain, detector).chosen_rows
+        finally:
+            streamed.close()
+        # to_metrics reports detection per user; map it back through the
+        # plane's real rows to compare decisions.
+        detected = sim.run_stacked([seed]).to_metrics(detector)[0][1]
+        stacked = np.where(detected == 1.0, report.observations.real_rows, -1)
+        return [in_memory, chunked, stacked]
+
+    def test_tie_free_plane_builds_no_generators(self, spawns):
+        chain = paper_synthetic_models(6, seed=3)["non-skewed"]
+        sim = self._fleet(chain)
+        report = sim.run(21)
+        scores = MaximumLikelihoodDetector().row_scores(
+            chain, [report.observations.trajectories]
+        )
+        assert np.flatnonzero(scores >= scores.max() - 1e-9).size == 1
+        spawns.clear()
+        in_memory, chunked, stacked = self._three_sites(sim, 21)
+        assert spawns == []
+        best = int(np.argmax(scores))
+        assert in_memory.tolist() == [best] * 4
+        assert np.array_equal(chunked, in_memory)
+        expected = np.where(
+            in_memory == report.observations.real_rows, in_memory, -1
+        )
+        assert np.array_equal(stacked, expected)
+
+    def test_exact_tie_decides_like_the_per_generator_path(self, spawns):
+        # A deterministic ring walk: every row scores log(1/L), and users
+        # 0 and 1 share a start cell, so their real rows are identical.
+        ring = np.roll(np.eye(6), 1, axis=1)
+        sim = self._fleet(MarkovChain(ring), start_cells=(2, 2, 0, 5))
+        report = sim.run(5)
+        traj = report.observations.trajectories
+        real = report.observations.real_rows
+        assert np.array_equal(traj[real[0]], traj[real[1]])
+        rngs = spawn_generators(report.evaluation_seed, 4)
+        expected = np.array([rng.integers(0, traj.shape[0]) for rng in rngs])
+        spawns.clear()
+        in_memory, chunked, stacked = self._three_sites(sim, 5)
+        assert spawns == [4, 4, 4]
+        assert np.array_equal(in_memory, expected)
+        assert np.array_equal(chunked, expected)
+        assert np.array_equal(stacked, np.where(expected == real, expected, -1))
 
 
 @st.composite
