@@ -12,10 +12,11 @@ numbers stop at ``10^3``: a dense ``10^4 x 10^4`` transition matrix is
 (sparse at least 5x faster end to end at ``L = 10^3``), so a kernel
 regression that erases the crossover fails CI rather than only shifting
 a chart.  ``test_step_kernel_beats_linear_count_oracle`` times the
-sampling step kernel (whole-row count up to 32 entries, bisection above)
-against the one-count-per-row oracle of ``tests/reference/sampling.py``
-and asserts the bisection's gain at ``L = 400``.  Every timing lands in
-``BENCH_sparse.json``.
+sampling step kernel (whole-row count up to 32 entries, bisection above
+once rows x width reaches ``2**13``) against the one-count-per-row oracle
+of ``tests/reference/sampling.py``; it asserts the bisection's gain at
+``L = 400`` and that neither side of the count/bisection switch falls
+far behind the oracle.  Every timing lands in ``BENCH_sparse.json``.
 """
 
 from __future__ import annotations
@@ -178,6 +179,10 @@ def test_city_scale_runs_without_dense_arrays():
 #: fleet's row count (one run stack of users) and a large batch.
 KERNEL_STATES = (10, 25, 100, 400, 1_000)
 KERNEL_ROWS = (50, 4_000)
+#: Row counts around the count/bisection switch at ``L = 100`` (rows x
+#: width 6,336, then 12,672, 27,225 and 50,688 against ``2**13``).
+SWITCH_STATES = 100
+SWITCH_ROWS = (64, 128, 275, 512)
 KERNEL_HORIZON = 200
 
 
@@ -196,32 +201,43 @@ def test_step_kernel_beats_linear_count_oracle(bench_record):
 
     Rows of at most 32 entries take the same whole-row count as the
     oracle, so at ``L = 10, 25`` the ratio is about 1; wider rows are
-    bisected once a step's whole-row gather reaches ``2**14`` values.
-    The assertion is at ``L = 400``, ``R = 4000``: at least 3x, best of
-    three on both sides.
+    bisected once a step's whole-row count reaches ``2**13`` values.
+    The assertions, best of three on both sides: at least 3x at
+    ``L = 400``, ``R = 4000``, and at least 0.6x at every point around
+    the switch (the count's side runs the oracle's own algorithm, the
+    bisection's side is past the measured crossover).
     """
     rng = np.random.default_rng(2017)
     record = {}
-    for n_states in KERNEL_STATES:
-        weights = rng.random((n_states, n_states))
-        chain = MarkovChain(weights / weights.sum(axis=1, keepdims=True))
-        chain.evolve_from_uniforms(np.zeros(1, dtype=np.int64), np.zeros((1, 1)))
-        for rows in KERNEL_ROWS:
-            initial = rng.integers(0, n_states, rows)
-            uniforms = rng.random((rows, KERNEL_HORIZON - 1))
-            repeats = 3 if (n_states, rows) == (400, 4_000) else 1
-            kernel_s, got = _best_seconds(
-                lambda: chain.evolve_from_uniforms(initial, uniforms), repeats
-            )
-            oracle_s, expected = _best_seconds(
-                lambda: evolve_linear(chain, initial, uniforms), repeats
-            )
-            assert np.array_equal(got, expected), (n_states, rows)
-            record[f"L{n_states}_R{rows}"] = {
-                "kernel_s": kernel_s,
-                "oracle_s": oracle_s,
-                "speedup": oracle_s / kernel_s,
-            }
+    points = [(n, rows) for n in KERNEL_STATES for rows in KERNEL_ROWS]
+    points += [(SWITCH_STATES, rows) for rows in SWITCH_ROWS]
+    chains = {}
+    for n_states, rows in points:
+        if n_states not in chains:
+            weights = rng.random((n_states, n_states))
+            chain = MarkovChain(weights / weights.sum(axis=1, keepdims=True))
+            chain.evolve_from_uniforms(np.zeros(1, dtype=np.int64), np.zeros((1, 1)))
+            chains[n_states] = chain
+        chain = chains[n_states]
+        initial = rng.integers(0, n_states, rows)
+        uniforms = rng.random((rows, KERNEL_HORIZON - 1))
+        switch = n_states == SWITCH_STATES and rows in SWITCH_ROWS
+        repeats = 3 if switch or (n_states, rows) == (400, 4_000) else 1
+        kernel_s, got = _best_seconds(
+            lambda: chain.evolve_from_uniforms(initial, uniforms), repeats
+        )
+        oracle_s, expected = _best_seconds(
+            lambda: evolve_linear(chain, initial, uniforms), repeats
+        )
+        assert np.array_equal(got, expected), (n_states, rows)
+        record[f"L{n_states}_R{rows}"] = {
+            "kernel_s": kernel_s,
+            "oracle_s": oracle_s,
+            "speedup": oracle_s / kernel_s,
+        }
     bench_record("sparse")["step_kernel"] = record
     speedup = record["L400_R4000"]["speedup"]
     assert speedup >= 3.0, f"step kernel only {speedup:.2f}x the oracle at L=400"
+    for rows in SWITCH_ROWS:
+        speedup = record[f"L{SWITCH_STATES}_R{rows}"]["speedup"]
+        assert speedup >= 0.6, f"step kernel {speedup:.2f}x the oracle at R={rows}"

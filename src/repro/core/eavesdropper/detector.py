@@ -19,13 +19,13 @@ knowledge over a censored plane.
 from __future__ import annotations
 
 import abc
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from ...mobility.markov import MarkovChain
-from .scoring import TieBreakGenerators, eq1_decide, eq1_scores
+from .scoring import eq1_decide, eq1_scores
 
 __all__ = [
     "TrajectoryDetector",
@@ -124,8 +124,8 @@ def _validated(
     """An ``(N, T)`` plane or ``(R, N, T)`` batch and its generators.
 
     Cells must lie in ``[-1, L)`` (``-1`` marks an unobserved slot).  A
-    plane needs at least one generator, a batch exactly one per run; a
-    :class:`TieBreakGenerators` passes through unspawned.
+    plane needs at least one generator, a batch exactly one per run.  A
+    sequence is passed through as it is (a lazy one stays unspawned).
     """
     observed = np.asarray(trajectories, dtype=np.int64)
     if observed.ndim != ndim or observed.size == 0:
@@ -133,7 +133,7 @@ def _validated(
         raise ValueError(f"trajectories must be a non-empty {shape} array")
     if observed.min() < -1 or observed.max() >= chain.n_states:
         raise ValueError("trajectories contain out-of-range cells")
-    generators = rngs if isinstance(rngs, TieBreakGenerators) else list(rngs)
+    generators = rngs if isinstance(rngs, Sequence) else list(rngs)
     if ndim == 3 and len(generators) != observed.shape[0]:
         raise ValueError("need exactly one generator per run")
     if not generators:

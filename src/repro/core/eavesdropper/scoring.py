@@ -197,8 +197,7 @@ class TieBreakGenerators(Sequence[np.random.Generator]):
     """
 
     def __init__(self, seed: "int | np.random.SeedSequence", n: int) -> None:
-        self.seed = seed
-        self.n = n
+        self.seed, self.n = seed, n
         self._generators: list[np.random.Generator] | None = None
 
     def __len__(self) -> int:

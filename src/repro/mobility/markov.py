@@ -314,31 +314,37 @@ def total_variation_distance(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(p - q).sum())
 
 
-#: Rows at most this wide are stored as they are and counted whole; wider
-#: rows are padded for bisection (:func:`_step_table`).
+#: Rows at most this wide are stored as they are and always counted whole;
+#: wider rows also get a copy padded for bisection (:func:`_step_table`).
 _LINEAR_COUNT_WIDTH = 32
 
-#: A padded table is bisected once a step's whole-row gather (rows x padded
-#: width) reaches this many values; below it the ``log2`` extra numpy calls
-#: per step cost more than they save (scalar sampling is one row).
-_BISECT_MIN_GATHER = 1 << 14
+#: A padded table is bisected once a step's whole-row count compares this
+#: many values (rows x unpadded width).  The measured crossover, T = 200,
+#: lies between 6,000 and 20,000 for L = 50 .. 1000, growing with L.
+_BISECT_MIN_GATHER = 1 << 13
 
 
 @dataclass(frozen=True)
 class _StepTable:
     """The inverse-CDF table one sampling step reads.
 
-    ``cumulative`` holds non-decreasing rows, ``(n, width)`` or, for a
-    time-varying chain, ``(T - 1, n, width)``.  A row at uniform ``u``
-    moves to the count of its entries ``<= u``, or to
-    ``successors[row, count]`` when ``successors`` (``(n, width + 1)``) is
-    set.  ``padded`` marks rows padded with ``+inf`` to a power of two
-    wider than the original width, the layout bisection needs.
+    ``rows`` holds non-decreasing rows, ``(n, width)`` or, per step,
+    ``(T - 1, n, width)``.  A row at uniform ``u`` moves to the count of
+    its entries ``<= u``, or to ``successors[row, count]`` when set
+    (``(n, width + 1)``).  Rows wider than 32 live in ``padded``, each
+    padded with ``+inf`` to a power of two wider than ``width`` (the
+    layout bisection needs); ``rows`` is then a view of it.
     """
 
-    cumulative: np.ndarray
-    padded: bool
+    rows: np.ndarray
+    padded: np.ndarray | None = None
     successors: np.ndarray | None = None
+
+    def next_state(self, state: int, u: float, step: int = 0) -> int:
+        """One step of one row: a ``searchsorted`` over ``state``'s row."""
+        row = self.rows[step, state] if self.rows.ndim == 3 else self.rows[state]
+        count = int(np.searchsorted(row, u, side="right"))
+        return count if self.successors is None else int(self.successors[state, count])
 
 
 def _step_table(
@@ -347,10 +353,10 @@ def _step_table(
     """The step table of non-decreasing rows, padded when wider than 32."""
     width = cumulative.shape[-1]
     if width <= _LINEAR_COUNT_WIDTH:
-        return _StepTable(cumulative, False, successors)
+        return _StepTable(cumulative, None, successors)
     padded = np.full((*cumulative.shape[:-1], 1 << width.bit_length()), np.inf)
     padded[..., :width] = cumulative
-    return _StepTable(padded, True, successors)
+    return _StepTable(padded[..., :width], padded, successors)
 
 
 def _walk(
@@ -358,45 +364,46 @@ def _walk(
 ) -> np.ndarray:
     """Fill ``out`` (``(R, T)``) from ``initial`` states and ``(R, T - 1)`` uniforms.
 
-    The linear count compares each state's whole row with ``u``.  The
-    bisection descends a padded row by halves: after the probes at
-    offsets ``W/2 .. 1`` it sits at the count of entries ``<= u`` (the
-    ``+inf`` padding is never counted, and ``W`` exceeds the original
-    width, so every count is reachable).  Both return the same count.
+    One row takes a ``searchsorted`` per step.  Otherwise the count
+    compares each state's whole unpadded row with ``u``, or the bisection
+    descends a padded row by halves: after the probes at offsets
+    ``W/2 .. 1`` it sits at the count of entries ``<= u`` (``+inf`` is
+    never counted, and ``W`` exceeds the row's width, so every count is
+    reachable).
     """
-    cumulative = table.cumulative
-    per_step = cumulative.ndim == 3
-    n_rows, width = cumulative.shape[-2:]
-    bisect = table.padded and out.shape[0] * width >= _BISECT_MIN_GATHER
-    flat = cumulative.reshape(-1)
-    halves = [width >> shift for shift in range(1, width.bit_length())]
-    probes = [flat[half - 1 :] for half in halves]
-    successors = table.successors
-    next_of = None if successors is None else successors.reshape(-1)
-    stride = 0 if successors is None else successors.shape[1]
-    out[:, 0] = initial
-    states = initial
+    if out.shape[0] == 1:
+        out[0, 0] = state = int(initial[0])
+        for t, u in enumerate(uniforms[0].tolist(), start=1):
+            out[0, t] = state = table.next_state(state, u, t - 1)
+        return out
+    rows, successors = table.rows, table.successors
+    per_step = rows.ndim == 3
+    n_rows, width = rows.shape[-2:]
+    padded = table.padded
+    probes: list[tuple[int, np.ndarray]] = []
+    if padded is not None and out.shape[0] * width >= _BISECT_MIN_GATHER:
+        width = padded.shape[-1]
+        flat = padded.reshape(-1)  # contiguous, so a view
+        halves = [width >> shift for shift in range(1, width.bit_length())]
+        probes = [(half, flat[half - 1 :]) for half in halves]
+    out[:, 0] = states = initial
     for t in range(1, out.shape[1]):
         u = uniforms[:, t - 1]
-        if bisect:
+        if probes:
             base = states * width
             if per_step:
                 base += (t - 1) * n_rows * width
             index = base.copy()
             u = np.ascontiguousarray(u)
-            for half, probe in zip(halves, probes):
+            for half, probe in probes:
                 index += (probe[index] <= u) * half
             counts = index - base
         else:
-            rows = (cumulative[t - 1] if per_step else cumulative)[states]
-            counts = (rows <= u[:, None]).sum(axis=1)
-        states = counts if next_of is None else next_of[states * stride + counts]
+            step_rows = rows[t - 1] if per_step else rows
+            counts = (step_rows[states] <= u[:, None]).sum(axis=1)
+        states = counts if successors is None else successors[states, counts]
         out[:, t] = states
     return out
-
-
-#: Backwards-compatible alias for the shared helper.
-_safe_log = safe_log
 
 
 @dataclass
@@ -456,7 +463,7 @@ class MarkovChain:
     def __post_init__(self) -> None:
         self.transition_matrix = validate_transition_matrix(self.transition_matrix)
         self._stationary = stationary_distribution(self.transition_matrix)
-        self._log_transition = _safe_log(self.transition_matrix)
+        self._log_transition = safe_log(self.transition_matrix)
         self._cumulative_transition = np.cumsum(self.transition_matrix, axis=1)
         if self.initial_distribution is None:
             self.initial_distribution = self._stationary.copy()
@@ -486,7 +493,7 @@ class MarkovChain:
     @property
     def log_stationary(self) -> np.ndarray:
         """Natural log of the stationary distribution (floored)."""
-        return _safe_log(self._stationary)
+        return safe_log(self._stationary)
 
     @property
     def log_transition_matrix(self) -> np.ndarray:
@@ -586,9 +593,8 @@ class MarkovChain:
         """The step table of this chain's own matrix, built on first use.
 
         Row ``i`` holds the running sums of ``P[i]`` without the last one,
-        so the count of entries ``<= u`` is the next state, already
-        clamped to ``L - 1`` for a ``u`` at or above the row total.
-        """
+        so the count of entries ``<= u`` is the next state, clamped to
+        ``L - 1`` for a ``u`` at or above the row total."""
         if self._sampling_cache is None:
             self._sampling_cache = _step_table(self._cumulative_transition[:, :-1])
         return self._sampling_cache
@@ -602,9 +608,7 @@ class MarkovChain:
     def sample_next_state(self, state: int, rng: np.random.Generator) -> int:
         """Draw the next state given the current ``state`` (one uniform)."""
         self._check_state(state)
-        out = np.empty((1, 2), dtype=np.int64)
-        _walk(self._static_steps(), np.array([state]), np.array([[rng.random()]]), out)
-        return int(out[0, 1])
+        return self._static_steps().next_state(state, rng.random())
 
     def sample_trajectory(
         self,
@@ -616,7 +620,8 @@ class MarkovChain:
     ) -> np.ndarray:
         """Sample a trajectory of ``length`` states.
 
-        The one-row case of :meth:`sample_trajectories_batch`: the
+        The one-row case of :meth:`sample_trajectories_batch` (one
+        ``searchsorted`` per step, :meth:`_StepTable.next_state`): the
         generator draws ``length`` uniforms (``length - 1`` with a fixed
         ``initial_state``), the first of which picks the initial state
         from the initial distribution.
@@ -734,7 +739,7 @@ class MarkovChain:
         if (
             cached is not None
             and cached[0] is stack
-            and cached[1].cumulative.shape[0] == length - 1
+            and cached[1].rows.shape[0] == length - 1
         ):
             return cached[1]
         cumulative = np.cumsum(
@@ -766,12 +771,12 @@ class MarkovChain:
         sums of a row never decrease, so that count is what
         ``searchsorted(..., side="right")`` returns, and any way of
         counting gives the same state bit for bit.  The width of the rows
-        picks the way: rows of at most 32 entries are compared whole
-        (``R x width`` values per step).  Wider rows are padded with
-        ``+inf`` to a power of two ``W`` and bisected (``log2 W`` gathers
-        of ``R`` values per step) once ``R x W`` reaches ``2**14``; a
-        smaller call, such as one scalar trajectory, still compares whole
-        rows.
+        and their number ``R`` pick the way.  One row takes a
+        ``searchsorted`` per step.  Rows of at most 32 entries are compared
+        whole (``R x width`` values per step).  Wider rows are also kept
+        padded with ``+inf`` to a power of two ``W``; they are bisected
+        (``log2 W`` gathers of ``R`` values per step) once ``R x width``
+        reaches ``2**13``, and compared whole, without the padding, below.
 
         With ``transition_stack`` (a ``(T - 1, L, L)`` stack of per-step
         matrices, e.g. from
@@ -844,7 +849,7 @@ class MarkovChain:
                 stack = self._validate_transition_stack(
                     transition_stack, traj.shape[-1]
                 )
-                step_logs = _safe_log(stack)[
+                step_logs = safe_log(stack)[
                     np.arange(traj.shape[-1] - 1), traj[..., :-1], traj[..., 1:]
                 ]
             scores = scores + step_logs.sum(axis=-1)
@@ -877,7 +882,7 @@ class MarkovChain:
         P = self.transition_matrix
         # The floored log equals the raw log on the positive entries the
         # mask keeps, and needs no errstate guard on the zeros it drops.
-        logs = np.where(P > 0, _safe_log(P), 0.0)
+        logs = np.where(P > 0, safe_log(P), 0.0)
         row_entropies = -(P * logs).sum(axis=1)
         return float(self._stationary @ row_entropies)
 
@@ -1009,4 +1014,4 @@ def _kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     q = np.asarray(q, dtype=float)
     mask = p > 0
     # p[mask] is strictly positive, so the floored log is the raw log.
-    return float(np.sum(p[mask] * (_safe_log(p[mask]) - _safe_log(q[mask]))))
+    return float(np.sum(p[mask] * (safe_log(p[mask]) - safe_log(q[mask]))))

@@ -1,11 +1,12 @@
 """The sampling kernel against the one-count-at-a-time oracle.
 
 :meth:`MarkovChain.evolve_from_uniforms` counts the entries ``<= u`` of a
-cumulative row either by comparing the whole row or, for padded rows
-wider than 32 entries, by bisection.  Both must return exactly the
-count the oracle (:mod:`reference.sampling`, the full-row linear count
-clamped to ``L - 1``) returns, on dense, sparse and per-step-stack
-chains, for every awkward uniform: ``u = 0``, ``u`` equal to a
+cumulative row by a ``searchsorted`` for a single row, otherwise by
+comparing the whole row or, for padded rows wider than 32 entries, by
+bisection.  All must return exactly the count the oracle
+(:mod:`reference.sampling`, the full-row linear count clamped to
+``L - 1``) returns, on dense, sparse and per-step-stack chains, for
+every awkward uniform: ``u = 0``, ``u`` equal to a
 cumulative value, and ``u`` above a row total that ends below 1.  The
 ``kernel`` fixture forces one way or the other, so every width above 32
 is checked both ways whatever the row count.
@@ -132,8 +133,12 @@ class TestKernelAgainstOracle:
         initial = rng.integers(0, dense.n_states, rows)
         uniforms = _adversarial_uniforms(dense, initial, length, rng)
         expected = evolve_linear(dense, initial, uniforms)
-        assert np.array_equal(dense.evolve_from_uniforms(initial, uniforms), expected)
-        assert np.array_equal(sparse.evolve_from_uniforms(initial, uniforms), expected)
+        for chain in (dense, sparse):
+            got = chain.evolve_from_uniforms(initial, uniforms)
+            assert np.array_equal(got, expected)
+            # The first row alone takes the one-row path.
+            one = chain.evolve_from_uniforms(initial[:1], uniforms[:1])
+            assert np.array_equal(one, expected[:1])
 
     @_FUZZ
     @given(
@@ -157,6 +162,10 @@ class TestKernelAgainstOracle:
         for chain in (dense, sparse):
             got = chain.evolve_from_uniforms(initial, uniforms, transition_stack=stack)
             assert np.array_equal(got, expected)
+            one = chain.evolve_from_uniforms(
+                initial[:1], uniforms[:1], transition_stack=stack
+            )
+            assert np.array_equal(one, expected[:1])
 
     @pytest.mark.parametrize("n", [10, 21, 33, 65])
     def test_row_total_below_one_clamps_to_last_state(self, kernel, n):
@@ -183,10 +192,15 @@ class TestKernelAgainstOracle:
         # A dense table leaves out each row's last running sum: L - 1 wide.
         for n, padded in [(34, 64), (64, 64), (65, 128), (100, 128), (300, 512)]:
             table = MarkovChain(np.full((n, n), 1.0 / n))._static_steps()
-            assert table.padded and table.cumulative.shape == (n, padded)
-            assert np.all(np.isinf(table.cumulative[:, n - 1 :]))
+            assert table.padded is not None
+            assert table.padded.shape == (n, padded)
+            assert table.padded.flags.c_contiguous
+            assert np.all(np.isinf(table.padded[:, n - 1 :]))
+            # The count reads the same memory without the padding.
+            assert table.rows.shape == (n, n - 1)
+            assert np.shares_memory(table.rows, table.padded)
         table = MarkovChain(np.full((33, 33), 1 / 33))._static_steps()
-        assert not table.padded and table.cumulative.shape == (33, 32)
+        assert table.padded is None and table.rows.shape == (33, 32)
 
 
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
