@@ -192,7 +192,6 @@ def test_bench_runstack_identity_sweep(chain25, run_stack, engine, workers):
         workers=workers,
         engine=engine,
         chunk_slots=17,
-        regions=2,
         run_stack=run_stack,
     )
     _assert_statistics_identical(reference, combo)

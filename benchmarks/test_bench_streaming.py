@@ -1,6 +1,7 @@
-"""Benchmarks of the streaming fleet engine: memory flatness, throughput.
+"""Benchmarks of the store-backed fleet driver: memory flatness, throughput.
 
-The streaming engine's contract is *bounded memory in the horizon*: it
+``run_stacked(..., store=...)`` runs one episode out of core, and its
+contract is *bounded memory in the horizon*: it
 holds one ``(N, chunk_slots)`` plane plus O(M)-sized carry state, so the
 Python-heap peak of an episode must not grow with ``T``.  The headline
 measurement runs a city-scale fleet (M = 10^4 users, N = 2x10^4
@@ -18,6 +19,7 @@ streaming's spill overhead must stay within noise of the batch engine.
 
 from __future__ import annotations
 
+import tempfile
 import time
 import tracemalloc
 
@@ -25,10 +27,10 @@ import pytest
 
 from repro.core.strategies import get_strategy
 from repro.mec.fleet import FleetSimulation, FleetSimulationConfig
-from repro.mec.streaming import StreamingFleetEngine
 from repro.mec.topology import MECTopology
 from repro.mobility.grid import GridTopology
 from repro.mobility.models import paper_synthetic_models
+from repro.sim.cache import EpisodeStore
 
 
 @pytest.fixture(scope="module")
@@ -48,18 +50,23 @@ def _simulation(chain, n_users: int, horizon: int, capacity: int) -> FleetSimula
     )
 
 
+def _stream_to_store(simulation: FleetSimulation, root: str):
+    """One store-backed episode (seed 0, 64-slot chunks) spilled under ``root``."""
+    return simulation.run_stacked(
+        [0], engine="stream", chunk_slots=64, store=EpisodeStore(root)
+    )
+
+
 def _streaming_peak(chain, n_users: int, horizon: int, capacity: int) -> int:
     """Python-heap peak (bytes) of one full streamed episode."""
-    engine = StreamingFleetEngine(
-        _simulation(chain, n_users, horizon, capacity), chunk_slots=64
-    )
-    tracemalloc.start()
-    try:
-        report = engine.run(0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    report.close()
+    simulation = _simulation(chain, n_users, horizon, capacity)
+    with tempfile.TemporaryDirectory(prefix="repro-episode-") as root:
+        tracemalloc.start()
+        try:
+            _stream_to_store(simulation, root)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     return peak
 
 
@@ -127,11 +134,10 @@ def test_bench_streaming_throughput_m500(benchmark, stream_chain, bench_record):
         )
 
     def stream_run():
-        report = StreamingFleetEngine(
-            _simulation(stream_chain, n_users, horizon, capacity),
-            chunk_slots=64,
-        ).run(0)
-        report.close()
+        with tempfile.TemporaryDirectory(prefix="repro-episode-") as root:
+            _stream_to_store(
+                _simulation(stream_chain, n_users, horizon, capacity), root
+            )
 
     def timed(run) -> float:
         start = time.perf_counter()

@@ -44,7 +44,7 @@ def _report_shard_worker(task) -> list[FleetReport]:
     The simulation travels through the parallel layer's shared channel
     (shipped once per worker, not pickled into every task).
     """
-    seed, start, stop, engine, chunk_slots, regions, run_stack = task
+    seed, start, stop, engine, chunk_slots, run_stack = task
     simulation: FleetSimulation = get_shared()
     children = spawn_sequences_range(seed, start, stop)
     reports: list[FleetReport] = []
@@ -54,7 +54,6 @@ def _report_shard_worker(task) -> list[FleetReport]:
                 children[base : base + run_stack],
                 engine=engine,
                 chunk_slots=chunk_slots,
-                regions=regions,
             ).to_reports()
         )
     return reports
@@ -68,15 +67,14 @@ def simulate_fleet_reports(
     workers: int = 1,
     engine: str = "batch",
     chunk_slots: int = 64,
-    regions: int = 1,
     run_stack: int = 1,
 ) -> list[FleetReport]:
     """The ``R`` fleet reports of a Monte-Carlo, in run order.
 
     Run ``k`` derives from child ``k`` of ``seed`` regardless of the
     worker count, so the list is bit-identical for any ``workers``
-    (``0`` = all cores).  ``engine`` (``"batch"`` or ``"stream"``),
-    ``chunk_slots`` and ``regions`` reach the slot kernel exactly as in
+    (``0`` = all cores).  ``engine`` (``"batch"`` or ``"stream"``) and
+    ``chunk_slots`` reach the slot kernel exactly as in
     :meth:`FleetSimulation.run`; ``run_stack`` folds that many runs of
     each shard into one pass of it
     (:func:`repro.mec.runstack.run_stacked`).  All of them are
@@ -85,10 +83,10 @@ def simulate_fleet_reports(
     """
     if n_runs < 1:
         raise ValueError("n_runs must be positive")
-    validate_execution_options(engine, chunk_slots, regions, run_stack)
+    validate_execution_options(engine, chunk_slots, run_stack)
     workers = min(resolve_workers(workers), n_runs)
     tasks = [
-        (seed, shard.start, shard.stop, engine, chunk_slots, regions, run_stack)
+        (seed, shard.start, shard.stop, engine, chunk_slots, run_stack)
         for shard in shard_slices(n_runs, workers)
     ]
     shards = parallel_map(
@@ -106,7 +104,6 @@ def run_adversary_monte_carlo(
     workers: int = 1,
     engine: str = "batch",
     chunk_slots: int = 64,
-    regions: int = 1,
     run_stack: int = 1,
     reports: "list[FleetReport] | None" = None,
 ) -> FleetStatistics:
@@ -133,7 +130,6 @@ def run_adversary_monte_carlo(
             workers=workers,
             engine=engine,
             chunk_slots=chunk_slots,
-            regions=regions,
             run_stack=run_stack,
         )
     if len(reports) != n_runs:

@@ -190,21 +190,14 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_parser.add_argument(
         "--stream",
         action="store_true",
-        help="run episodes through the streaming engine (bounded memory, "
+        help="advance episodes in --chunk-slots windows (same memory, "
         "bit-identical results)",
     )
     fleet_parser.add_argument(
         "--chunk-slots",
         type=int,
         default=64,
-        help="slots per streaming chunk (with --stream; identical results)",
-    )
-    fleet_parser.add_argument(
-        "--regions",
-        type=int,
-        default=1,
-        help="topology regions for sharded placement (with --stream; "
-        "identical results)",
+        help="slots per window (with --stream; identical results)",
     )
     fleet_parser.add_argument(
         "--run-stack",
@@ -381,7 +374,6 @@ def _build_config(args: argparse.Namespace, experiment_id: str):
             backend=backend,
             stream=_flag(args, "stream", False),
             chunk_slots=_flag(args, "chunk_slots", 64),
-            regions=_flag(args, "regions", 1),
             run_stack=_flag(args, "run_stack", 1),
         )
     if experiment_id in _TRACE_EXPERIMENTS:

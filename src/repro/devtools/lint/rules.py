@@ -26,7 +26,7 @@ RPL007    no ``(M, N, T)`` full-plane allocation (``np.empty``/``zeros``/
           ``ones``/``full`` with a literal 3-tuple shape) inside
           ``repro/{mec,adversary,world,sim}`` without the declared
           ``FULL_PLANE_LIMIT`` guard in the enclosing function — the
-          streaming engine exists so city-scale episodes never hold a
+          store-backed driver exists so city-scale episodes never hold a
           whole horizon in memory (the PR-8 bounded-memory contract).
 RPL008    telemetry clocks stay injected in the pure layers: no *reference*
           to a wall-clock function (RPL005 bans the calls; this bans
@@ -421,7 +421,7 @@ def _check_rpl005(ctx: FileContext) -> list[Finding]:
 
 
 # ----------------------------------------------------------------------
-# RPL007 — full-plane allocations stay behind the streaming guard
+# RPL007 — full-plane allocations stay behind the full-plane guard
 # ----------------------------------------------------------------------
 _RPL007_ALLOCATORS = {"numpy.empty", "numpy.zeros", "numpy.ones", "numpy.full"}
 _RPL007_GUARDS = {"FULL_PLANE_LIMIT"}

@@ -68,7 +68,6 @@ def _fleet_point(task) -> "tuple[dict[str, float], dict | None]":
         engine,
         workers,
         chunk_slots,
-        regions,
         run_stack,
         spec,
     ) = task
@@ -92,7 +91,6 @@ def _fleet_point(task) -> "tuple[dict[str, float], dict | None]":
             workers=workers,
             engine=engine,
             chunk_slots=chunk_slots,
-            regions=regions,
             run_stack=run_stack,
             recorder=recorder,
         )
@@ -162,7 +160,6 @@ def run_fleet_experiment(
                 "stream" if config.stream else "batch",
                 point_workers,
                 config.chunk_slots,
-                config.regions,
                 config.run_stack,
                 spec,
             )
@@ -182,7 +179,6 @@ def run_fleet_experiment(
                 "stream" if config.stream else "batch",
                 point_workers,
                 config.chunk_slots,
-                config.regions,
                 config.run_stack,
                 spec,
             )

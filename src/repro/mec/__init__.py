@@ -16,12 +16,7 @@ from .policies import (
     MigrationPolicy,
     NeverMigratePolicy,
 )
-from .placement import (
-    PlacementEngine,
-    PlacementStats,
-    RegionPartition,
-    ShardedPlacementEngine,
-)
+from .placement import PlacementEngine, PlacementStats
 from .fleet import (
     FleetEvaluation,
     FleetObservationPlane,
@@ -32,7 +27,7 @@ from .fleet import (
     materialise_full_plane,
     run_fleet_monte_carlo,
 )
-from .streaming import StreamingFleetEngine, StreamingFleetReport
+from .streaming import StreamingFleetReport
 
 __all__ = [
     "EdgeSite",
@@ -48,8 +43,6 @@ __all__ = [
     "NeverMigratePolicy",
     "PlacementEngine",
     "PlacementStats",
-    "RegionPartition",
-    "ShardedPlacementEngine",
     "FleetEvaluation",
     "FleetObservationPlane",
     "FleetReport",
@@ -58,6 +51,5 @@ __all__ = [
     "FleetStatistics",
     "materialise_full_plane",
     "run_fleet_monte_carlo",
-    "StreamingFleetEngine",
     "StreamingFleetReport",
 ]

@@ -54,7 +54,7 @@ each other under any timeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -63,6 +63,7 @@ from ..core.eavesdropper.detector import MaximumLikelihoodDetector, TrajectoryDe
 from ..core.eavesdropper.scoring import TieBreakGenerators
 from ..core.strategies.base import ChaffStrategy
 from ..mobility.markov import MarkovChain
+from ..sim.cache import EpisodeStore
 from ..sim.parallel import get_shared, parallel_map, resolve_workers, shard_slices
 from ..sim.seeding import as_seed_sequence, spawn_sequences_range
 from ..telemetry import NULL_RECORDER
@@ -102,7 +103,7 @@ _BLOCK_TARGET_ELEMS = 1 << 20
 #: Elements above which :func:`materialise_full_plane` refuses to allocate.
 #: Sized so every plane the small-``M`` test and experiment configurations
 #: materialise fits comfortably, while a city-scale ``(M, N, T)`` crowd
-#: plane (the thing the streaming engine exists to avoid) trips it.
+#: plane (the thing the store-backed driver exists to avoid) trips it.
 FULL_PLANE_LIMIT = 200_000_000
 
 
@@ -119,7 +120,7 @@ def materialise_full_plane(
     materialised for the small-``M`` bit-identity contract, evaluation of
     a whole crowd at once — route the allocation through here, where the
     element count is checked against :data:`FULL_PLANE_LIMIT` first.
-    Streaming consumers iterate chunk planes instead and never hit this.
+    Store-backed consumers iterate chunk planes instead and never hit this.
     """
     elements = int(np.prod(np.asarray(shape, dtype=np.int64)))
     if elements > FULL_PLANE_LIMIT:
@@ -385,13 +386,14 @@ def tracked_slots(
 class _FleetSlotKernel:
     """One-slot advancement of the fleet's placement and cost state.
 
-    :meth:`advance` is the one slot loop: the in-memory driver
-    (:func:`repro.mec.runstack.run_stacked`) and the resumable streaming
-    engine (:mod:`repro.mec.streaming`) both call it window by window,
-    so they are bit-identical by construction.  The kernel owns
+    :meth:`advance` is the one slot loop: the fleet driver
+    (:func:`repro.mec.runstack.run_stacked`) calls it window by window,
+    in memory or spilling each window to an episode store, so every
+    window size is bit-identical by construction.  The kernel owns
     everything that crosses a window boundary — current cells, cost
     totals, migration counters, the placement engine, and (dynamic
-    worlds) the previous slot's live mask and capacity view.
+    worlds) the previous slot's live mask and capacity view — and
+    :meth:`carry` / :meth:`restore` snapshot and reinstate exactly that.
     """
 
     def __init__(
@@ -492,6 +494,42 @@ class _FleetSlotKernel:
         )
         np.add.at(self.migrations, self.owners[moved], 1)
         self.service_migrations[moved] += 1
+
+    def carry(self) -> dict[str, np.ndarray]:
+        """Everything that crosses a window boundary, as named arrays."""
+        placement = self.placement
+        arrays = {
+            "cells": self.cells,
+            "mig_total": self.mig_total,
+            "comm_total": self.comm_total,
+            "chaff_total": self.chaff_total,
+            "migrations": self.migrations,
+            "service_migrations": self.service_migrations,
+            "load": placement.load,
+            "capacities": placement.capacities,
+            "placement_stats": np.asarray(astuple(placement.stats), dtype=np.int64),
+        }
+        if self.prev_live is not None:
+            arrays["prev_live"] = self.prev_live.astype(np.uint8)
+            arrays["prev_caps"] = self.prev_caps
+        return arrays
+
+    def restore(self, carry: "dict[str, np.ndarray]") -> None:
+        """Reinstate a :meth:`carry` snapshot."""
+        self.cells = carry["cells"].astype(np.int64)
+        self.mig_total = carry["mig_total"].astype(float)
+        self.comm_total = carry["comm_total"].astype(float)
+        self.chaff_total = carry["chaff_total"].astype(float)
+        self.migrations = carry["migrations"].astype(np.int64)
+        self.service_migrations = carry["service_migrations"].astype(np.int64)
+        if "prev_live" in carry:
+            self.prev_live = carry["prev_live"].astype(bool)
+            self.prev_caps = carry["prev_caps"].astype(np.int64)
+        placement = self.placement
+        placement.load = carry["load"].astype(np.int64)
+        placement.capacities = carry["capacities"].astype(np.int64)
+        counters = carry["placement_stats"].astype(np.int64)
+        placement.stats = PlacementStats(*(int(value) for value in counters))
 
     # ------------------------------------------------------------------
     def advance(
@@ -746,27 +784,18 @@ class FleetSimulation:
         *,
         engine: str = "batch",
         chunk_slots: int = 64,
-        regions: int = 1,
-        region_workers: int = 1,
         recorder=NULL_RECORDER,
     ) -> FleetReport:
         """Execute one fleet run.
 
         ``engine="batch"`` (default) and ``engine="stream"`` run a stack of
         one through :meth:`run_stacked`: batch advances the whole horizon
-        as one window, stream advances ``chunk_slots``-sized windows,
-        optionally sharding placement over
-        ``regions`` topology regions (``region_workers`` threads).  Both
-        are bit-identical for the same ``seed`` — the streaming knobs
-        change execution, never results.
+        as one window, stream advances ``chunk_slots``-sized windows.
+        Both are bit-identical for the same ``seed`` — the window size
+        changes execution, never results.
         """
         return self.run_stacked(
-            [seed],
-            engine=engine,
-            chunk_slots=chunk_slots,
-            regions=regions,
-            region_workers=region_workers,
-            recorder=recorder,
+            [seed], engine=engine, chunk_slots=chunk_slots, recorder=recorder
         ).to_reports()[0]
 
     def run_stacked(
@@ -775,9 +804,8 @@ class FleetSimulation:
         *,
         engine: str = "batch",
         chunk_slots: int = 64,
-        regions: int = 1,
-        region_workers: int = 1,
         collect_per_slot: bool = True,
+        store: EpisodeStore | None = None,
         recorder=NULL_RECORDER,
     ):
         """Execute a stack of fleet runs as one pass of the slot kernel.
@@ -787,7 +815,10 @@ class FleetSimulation:
         from that run's own SeedSequence children in the canonical
         order, so the resulting :class:`StackedRunOutcome` is
         bit-identical to running each seed through :meth:`run`.
-        ``engine`` accepts ``"batch"`` and ``"stream"``.
+        ``engine`` accepts ``"batch"`` and ``"stream"``; a ``store``
+        (one seed only) spills the episode to disk and returns a
+        :class:`~repro.mec.streaming.StreamingFleetReport`, see
+        :func:`repro.mec.runstack.run_stacked`.
         """
         # Deferred import: the run-stacked engine builds on this module.
         from .runstack import run_stacked as _run_stacked
@@ -797,9 +828,8 @@ class FleetSimulation:
             list(seeds),
             engine=engine,
             chunk_slots=chunk_slots,
-            regions=regions,
-            region_workers=region_workers,
             collect_per_slot=collect_per_slot,
+            store=store,
             recorder=recorder,
         )
 
@@ -1150,17 +1180,11 @@ def _episode_metrics(
     )
 
 
-def validate_execution_options(
-    engine: str, chunk_slots: int, regions: int, run_stack: int
-) -> None:
-    """Reject bad Monte-Carlo execution options before any pool starts."""
+def validate_execution_options(engine: str, chunk_slots: int, run_stack: int) -> None:
+    """Reject bad execution options (before any pool starts, for Monte-Carlo)."""
     if engine not in FLEET_ENGINES:
         raise ValueError(f"engine must be one of {FLEET_ENGINES}, got {engine!r}")
-    for name, value in (
-        ("chunk_slots", chunk_slots),
-        ("regions", regions),
-        ("run_stack", run_stack),
-    ):
+    for name, value in (("chunk_slots", chunk_slots), ("run_stack", run_stack)):
         if value < 1:
             raise ValueError(f"{name} must be positive, got {value}")
 
@@ -1182,7 +1206,6 @@ def _fleet_shard_worker(task) -> "tuple[list[tuple], dict | None]":
         stop,
         engine,
         chunk_slots,
-        regions,
         run_stack,
         spec,
     ) = task
@@ -1198,7 +1221,6 @@ def _fleet_shard_worker(task) -> "tuple[list[tuple], dict | None]":
             children[base : base + run_stack],
             engine=engine,
             chunk_slots=chunk_slots,
-            regions=regions,
             collect_per_slot=False,
             recorder=recorder,
         )
@@ -1217,7 +1239,6 @@ def run_fleet_monte_carlo(
     workers: int = 1,
     engine: str = "batch",
     chunk_slots: int = 64,
-    regions: int = 1,
     run_stack: int = 1,
     recorder=NULL_RECORDER,
 ) -> FleetStatistics:
@@ -1227,7 +1248,7 @@ def run_fleet_monte_carlo(
     worker count (workers respawn their shard's children by index, as in
     :mod:`repro.sim.parallel`), so ``workers=N`` is bit-identical to
     serial execution for any ``N`` (``0`` = all cores).  ``chunk_slots``
-    and ``regions`` only apply to ``engine="stream"``; ``run_stack``
+    only applies to ``engine="stream"``; ``run_stack``
     folds that many episodes of a shard into one pass of the slot
     kernel (:meth:`FleetSimulation.run_stacked`).  Like the engine
     (``"batch"`` or ``"stream"``) and the worker count, none of these
@@ -1236,7 +1257,7 @@ def run_fleet_monte_carlo(
     """
     if n_runs < 1:
         raise ValueError("n_runs must be positive")
-    validate_execution_options(engine, chunk_slots, regions, run_stack)
+    validate_execution_options(engine, chunk_slots, run_stack)
     detector = detector or MaximumLikelihoodDetector()
     workers = min(resolve_workers(workers), n_runs)
     knowledge = getattr(detector, "knowledge", None)
@@ -1259,7 +1280,6 @@ def run_fleet_monte_carlo(
             shard.stop,
             engine,
             chunk_slots,
-            regions,
             run_stack,
             spec,
         )

@@ -35,20 +35,13 @@ otherwise scans the target's hop order up to the first free site.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .topology import MECTopology
 
-__all__ = [
-    "PlacementStats",
-    "PlacementEngine",
-    "RegionPartition",
-    "ShardedPlacementEngine",
-    "placement_engine",
-]
+__all__ = ["PlacementStats", "PlacementEngine"]
 
 
 @dataclass
@@ -106,10 +99,6 @@ class _HopOrder:
         return row
 
 
-class _RegionFallback(Exception):
-    """Raised when a sharded slot cannot be proven order-equivalent."""
-
-
 class _WalkLoads:
     """One walk's working copy of the site loads, as plain lists.
 
@@ -127,19 +116,11 @@ class _WalkLoads:
         self.free = int(np.count_nonzero(engine.load < engine.capacities))
         self._engine = engine
 
-    def first_free(
-        self, cell: int, fence: "list[bool] | None" = None
-    ) -> int | None:
-        """The first free site in ``cell``'s hop order (``None``: all full).
-
-        Reaching a ``fence``d cell first raises :class:`_RegionFallback`:
-        the sharded engine cannot prove the serial walk would pass it.
-        """
+    def first_free(self, cell: int) -> int | None:
+        """The first free site in ``cell``'s hop order (``None``: all full)."""
         if self.free:
             load, caps = self.load, self.caps
             for site in self._engine._order[cell]:
-                if fence is not None and fence[site]:
-                    raise _RegionFallback
                 if load[site] < caps[site]:
                     return site
         return None
@@ -385,285 +366,3 @@ class PlacementEngine:
             np.subtract.at(self.load, cells, 1)
             if self.load.min() < 0:
                 raise ValueError("released more services than were placed")
-
-
-# ----------------------------------------------------------------------
-# Region-sharded placement: topology colouring + concurrent settling
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RegionPartition:
-    """A deterministic colouring of the topology into contiguous regions.
-
-    Seeds are chosen by farthest-point traversal on the hop-distance
-    matrix starting from cell 0 (ties towards the lowest cell index);
-    every cell is coloured by its nearest seed (ties towards the lowest
-    seed index).  Pure function of ``(topology, n_regions)``, so every
-    worker and every re-run colours identically.
-    """
-
-    labels: np.ndarray
-    n_regions: int
-
-    @classmethod
-    def build(cls, topology: MECTopology, n_regions: int) -> "RegionPartition":
-        """Colour ``topology`` into ``min(n_regions, L)`` regions."""
-        if n_regions < 1:
-            raise ValueError("n_regions must be positive")
-        hops = topology.hop_distance_matrix()
-        n_cells = topology.n_cells
-        count = min(int(n_regions), n_cells)
-        seeds = [0]
-        while len(seeds) < count:
-            nearest = hops[:, seeds].min(axis=1)
-            nearest[seeds] = -1
-            seeds.append(int(np.argmax(nearest)))
-        seed_array = np.asarray(seeds, dtype=np.int64)
-        # argmin's first-hit rule breaks nearest-seed ties towards the
-        # lowest *seed index*, which is deterministic by construction.
-        labels = np.argmin(hops[:, seed_array], axis=1).astype(np.int64)
-        return cls(labels=labels, n_regions=count)
-
-    def cells(self, region: int) -> np.ndarray:
-        """The (ascending) cell indices coloured ``region``."""
-        return np.flatnonzero(self.labels == region)
-
-
-class ShardedPlacementEngine(PlacementEngine):
-    """A :class:`PlacementEngine` that settles independent regions concurrently.
-
-    :meth:`resolve_moves` — the per-slot hot path — partitions each
-    slot's movers by topology region.  A region is *clean* when every
-    mover touching it has both source and target inside it; clean
-    regions settle independently (optionally on a thread pool) because
-    their greedy id-order walks read and write disjoint cells.  Movers
-    that cross regions form the *residue*, settled afterwards in one
-    global id-order walk.
-
-    Bit-identity with the serial engine is enforced, not assumed: any
-    spill whose landing cell cannot be *proven* to beat every cell
-    outside the settling group (a spill scan that meets a foreign cell
-    in the target's hop order before a free cell of its own, whatever
-    that foreign cell's load) aborts the slot, which then replays
-    through the plain serial walk from a snapshot.  The
-    forced operations of a dynamic world (evictions, arrivals,
-    releases) always run the inherited serial path.
-    """
-
-    def __init__(
-        self, topology: MECTopology, *, regions: int = 1, workers: int = 1
-    ) -> None:
-        super().__init__(topology)
-        if workers < 1:
-            raise ValueError("workers must be positive")
-        self.partition = RegionPartition.build(topology, regions)
-        self.workers = int(workers)
-
-    # ------------------------------------------------------------------
-    def _settle_region(
-        self,
-        region_cells: np.ndarray,
-        foreign: list[bool],
-        movers: np.ndarray,
-        current: np.ndarray,
-        desired: np.ndarray,
-    ) -> tuple[np.ndarray, PlacementStats]:
-        """Settle one clean region's movers against its own cells only.
-
-        Writes ``self.load`` at ``region_cells`` alone, and its spill
-        scans stop at the first ``foreign`` cell, so concurrent regions
-        never share state (the walk's free count may include stale
-        foreign loads; it only decides whether to scan).  Raises
-        :class:`_RegionFallback` when a local spill cannot be proven
-        globally correct: a foreign cell precedes every free region cell
-        in the target's hop order.
-        """
-        delta = PlacementStats()
-        arrivals = np.bincount(desired[movers], minlength=self.load.size)
-        fits = np.all(
-            self.load[region_cells] + arrivals[region_cells]
-            <= self.capacities[region_cells]
-        )
-        if fits:
-            # Regional fast path: the greedy walk would admit everything.
-            self.load[region_cells] += arrivals[region_cells]
-            departures = np.bincount(current[movers], minlength=self.load.size)
-            self.load[region_cells] -= departures[region_cells]
-            delta.admitted += int(movers.size)
-            return desired[movers].copy(), delta
-        walk = _WalkLoads(self)
-        load, caps = walk.load, walk.caps
-        sources = current[movers].tolist()
-        landed = list(sources)
-        for position, (source, target) in enumerate(
-            zip(sources, desired[movers].tolist(), strict=True)
-        ):
-            if load[target] >= caps[target]:
-                spill = walk.first_free(target, foreign)
-                if spill is None:
-                    raise _RegionFallback
-                if spill == source:
-                    delta.rejected += 1
-                    continue
-                target = spill
-                delta.spilled += 1
-            else:
-                delta.admitted += 1
-            walk.remove(source)
-            walk.add(target)
-            landed[position] = target
-        self.load[region_cells] = np.take(walk.load, region_cells)
-        return np.asarray(landed, dtype=np.int64), delta
-
-    def _settle_residue(
-        self,
-        movers: np.ndarray,
-        current: np.ndarray,
-        desired: np.ndarray,
-        in_clean: list[bool],
-    ) -> tuple[np.ndarray, PlacementStats]:
-        """Settle the cross-region movers in one global id-order walk.
-
-        Runs after the clean regions, so any interaction with their
-        cells — a spill landing inside one, or a spill that a clean cell
-        could conceivably have beaten mid-slot — aborts to the serial
-        path.
-        """
-        delta = PlacementStats()
-        walk = _WalkLoads(self)
-        load, caps = walk.load, walk.caps
-        sources = current[movers].tolist()
-        landed = list(sources)
-        for position, (source, target) in enumerate(
-            zip(sources, desired[movers].tolist(), strict=True)
-        ):
-            if load[target] >= caps[target]:
-                spill = walk.first_free(target, in_clean)
-                if spill is None:
-                    if any(in_clean):
-                        # A clean cell may have been transiently free in
-                        # the true interleaved order; cannot prove not.
-                        raise _RegionFallback
-                    delta.rejected += 1
-                    continue
-                if spill == source:
-                    delta.rejected += 1
-                    continue
-                target = spill
-                delta.spilled += 1
-            else:
-                delta.admitted += 1
-            walk.remove(source)
-            walk.add(target)
-            landed[position] = target
-        walk.commit()
-        return np.asarray(landed, dtype=np.int64), delta
-
-    # ------------------------------------------------------------------
-    def resolve_moves(
-        self, current_cells: np.ndarray, desired_cells: np.ndarray
-    ) -> np.ndarray:
-        """Region-sharded, bit-identical :meth:`PlacementEngine.resolve_moves`."""
-        if self.partition.n_regions <= 1:
-            return super().resolve_moves(current_cells, desired_cells)
-        current = np.asarray(current_cells, dtype=np.int64)
-        desired = np.asarray(desired_cells, dtype=np.int64)
-        if current.shape != desired.shape or current.ndim != 1:
-            raise ValueError("current and desired cells must be equal-length 1-D")
-        movers = np.flatnonzero(desired != current)
-        if movers.size == 0:
-            return current.copy()
-        n_cells = self.topology.n_cells
-        _check_cells("current_cells", current[movers], n_cells)
-        _check_cells("desired_cells", desired[movers], n_cells)
-        arrivals = np.bincount(desired[movers], minlength=n_cells)
-        if np.all(self.load + arrivals <= self.capacities):
-            # Global fast path, identical to the serial engine.
-            self.load += arrivals
-            self.load -= np.bincount(current[movers], minlength=n_cells)
-            self.stats.admitted += int(movers.size)
-            return desired.copy()
-
-        labels = self.partition.labels
-        source_region = labels[current[movers]]
-        target_region = labels[desired[movers]]
-        crossing = source_region != target_region
-        dirty = np.zeros(self.partition.n_regions, dtype=bool)
-        dirty[source_region[crossing]] = True
-        dirty[target_region[crossing]] = True
-        clean_regions = [
-            region
-            for region in range(self.partition.n_regions)
-            if not dirty[region] and bool(np.any(target_region == region))
-        ]
-        # Cells whose loads mutate concurrently while the residue waits:
-        # exactly the cells of the regions being settled as clean tasks.
-        active_clean = np.zeros(self.partition.n_regions, dtype=bool)
-        active_clean[clean_regions] = True
-        in_clean = active_clean[labels].tolist()
-
-        load_snapshot = self.load.copy()
-        stats_snapshot = PlacementStats(**self.stats.as_dict())
-        placed = current.copy()
-        try:
-            tasks = []
-            for region in clean_regions:
-                region_movers = movers[target_region == region]
-                region_cells = self.partition.cells(region)
-                foreign = (labels != region).tolist()
-                tasks.append((region_movers, region_cells, foreign))
-            if self.workers > 1 and len(tasks) > 1:
-                with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                    settled = list(
-                        pool.map(
-                            lambda task: self._settle_region(
-                                task[1], task[2], task[0], current, desired
-                            ),
-                            tasks,
-                        )
-                    )
-            else:
-                settled = [
-                    self._settle_region(cells, foreign, m, current, desired)
-                    for m, cells, foreign in tasks
-                ]
-            # Residue: every mover not owned by a clean task — cross-region
-            # movers plus same-region movers of regions they dirtied.
-            residue = movers[dirty[target_region]]
-            residue_result = None
-            if residue.size:
-                residue_result = self._settle_residue(
-                    residue, current, desired, in_clean
-                )
-        except _RegionFallback:
-            self.load[:] = load_snapshot
-            self.stats = stats_snapshot
-            return super().resolve_moves(current, desired)
-        # Commit: merge per-group outcomes in deterministic group order.
-        for (region_movers, _, _), (cells_after, delta) in zip(
-            tasks, settled, strict=True
-        ):
-            placed[region_movers] = cells_after
-            self._merge_stats(delta)
-        if residue_result is not None:
-            cells_after, delta = residue_result
-            placed[residue] = cells_after
-            self._merge_stats(delta)
-        return placed
-
-    def _merge_stats(self, delta: PlacementStats) -> None:
-        self.stats.admitted += delta.admitted
-        self.stats.spilled += delta.spilled
-        self.stats.rejected += delta.rejected
-        self.stats.evicted += delta.evicted
-        self.stats.stranded += delta.stranded
-
-
-def placement_engine(
-    topology: MECTopology, *, regions: int = 1, workers: int = 1
-) -> PlacementEngine:
-    """The serial engine, or the region-sharded one when ``regions > 1``."""
-    if regions > 1:
-        return ShardedPlacementEngine(topology, regions=regions, workers=workers)
-    return PlacementEngine(topology)

@@ -41,8 +41,19 @@ Batch runs the slot loop (:meth:`~repro.mec.fleet._FleetSlotKernel.advance`)
 as one ``[0, T)`` window.  ``engine="stream"`` advances
 ``chunk_slots``-sized windows; a
 dynamic world's windows are slices of the schedule the simulation
-compiled once.  Nothing is spilled: the resumable, disk-backed driver is
-:class:`~repro.mec.streaming.StreamingFleetEngine`.
+compiled once.
+
+**The store case.**  Given an :class:`~repro.sim.cache.EpisodeStore`
+(one seed only), the same three phases run out of core: phase A samples
+into the store's disk-backed memmap planes, every window's ``(N, w)``
+observation and ``(M, w)`` cost buffers are committed as chunk shards
+followed by the kernel's carry snapshot, and the result is a
+:class:`~repro.mec.streaming.StreamingFleetReport` whose planes stay on
+disk.  The heap then holds one window plus O(N) carry state, whatever
+``T``.  A rerun on the same store checks that it holds this episode,
+skips sampling once it is done and resumes after the last chunk whose
+carry snapshot is committed — the snapshot is a chunk's last write, so
+a crash at any of its three commits resumes bit-identically.
 """
 
 from __future__ import annotations
@@ -54,17 +65,20 @@ import numpy as np
 
 from ..core.eavesdropper.detector import TrajectoryDetector
 from ..core.eavesdropper.scoring import TieBreakGenerators, eq1_decide
+from ..sim.cache import EpisodeStore
+from ..sim.seeding import as_seed_sequence
 from ..telemetry import NULL_RECORDER
 from .costs import CostLedger
 from .fleet import (
-    FLEET_ENGINES,
     FleetReport,
     FleetSimulation,
     _FleetSlotKernel,
     tracked_slots,
+    validate_execution_options,
     windows_censor,
 )
-from .placement import PlacementEngine, PlacementStats, placement_engine
+from .placement import PlacementEngine, PlacementStats
+from .streaming import StreamingFleetReport, _simulation_fingerprint
 
 __all__ = ["StackedRunOutcome", "run_stacked"]
 
@@ -87,17 +101,13 @@ class _StackedPlacement:
         simulation: FleetSimulation,
         n_services: int,
         run_stack: int,
-        *,
-        regions: int = 1,
-        region_workers: int = 1,
     ) -> None:
         topology = simulation.topology
         self.n_cells = int(topology.n_cells)
         self.n_services = int(n_services)
         self.run_stack = int(run_stack)
         self.engines: list[PlacementEngine] = [
-            placement_engine(topology, regions=regions, workers=region_workers)
-            for _ in range(self.run_stack)
+            PlacementEngine(topology) for _ in range(self.run_stack)
         ]
         # One hop matrix and one lazily built hop order serve every run
         # (hop_distance_matrix returns a fresh copy per engine otherwise).
@@ -500,42 +510,115 @@ class StackedRunOutcome:
 # ----------------------------------------------------------------------
 
 
+def _open_store(
+    store: EpisodeStore,
+    simulation: FleetSimulation,
+    seed: "int | np.random.SeedSequence",
+    chunk_slots: int,
+) -> int:
+    """Claim ``store`` for one episode; returns the first chunk to advance.
+
+    A store that already holds a different episode (another seed, shape,
+    chunk size or simulation fingerprint) is refused.  The first chunk
+    to advance is the one after the last contiguous carry snapshot: the
+    snapshot is a chunk's last commit, so any shard written after it is
+    rewritten on resume.
+    """
+    config = simulation.config
+    root = as_seed_sequence(seed)
+    identity = {
+        "entropy": str(root.entropy),
+        "spawn_key": [int(part) for part in root.spawn_key],
+        "n_users": config.n_users,
+        "horizon": config.horizon,
+        "chunk_slots": chunk_slots,
+        "simulation": _simulation_fingerprint(simulation),
+    }
+    meta = store.meta
+    for key, value in identity.items():
+        if key in meta and meta[key] != value:
+            raise ValueError(
+                f"episode store holds a different episode: {key} is "
+                f"{meta[key]!r}, this run needs {value!r}"
+            )
+    store.update_meta(**identity)
+    snapshots = set(store.completed("carry"))
+    resume_from = 0
+    while resume_from in snapshots:
+        resume_from += 1
+    return resume_from
+
+
+def _spill_windows(
+    kernel: _FleetSlotKernel,
+    store: EpisodeStore,
+    users: np.ndarray,
+    plans: np.ndarray,
+    width: int,
+    resume_from: int,
+    recorder,
+) -> None:
+    """Advance the store's remaining chunks, committing each one.
+
+    Each chunk commits its observation shard, its cost shard and then
+    the kernel's carry snapshot.  A store with chunks already committed
+    restarts from the snapshot of the last one.
+    """
+    horizon = users.shape[1]
+    if resume_from:
+        kernel.restore(store.load_state(resume_from - 1))
+    for index in range(resume_from, -(-horizon // width)):
+        start = index * width
+        stop = min(start + width, horizon)
+        histories = np.empty((plans.shape[0], stop - start), dtype=np.int64)
+        per_slot = np.empty((users.shape[0], stop - start), dtype=float)
+        kernel.advance(
+            start,
+            np.asarray(users[:, start:stop]),
+            np.asarray(plans[:, start:stop]),
+            histories,
+            per_slot,
+        )
+        with recorder.span("kernel/spill", chunk=index):
+            store.append_chunk("histories", index, histories)
+            store.append_chunk("per_slot", index, per_slot)
+            store.save_state(index, **kernel.carry())
+
+
 def run_stacked(
     simulation: FleetSimulation,
     seeds: "Sequence[int | np.random.SeedSequence]",
     *,
     engine: str = "batch",
     chunk_slots: int = 64,
-    regions: int = 1,
-    region_workers: int = 1,
     collect_per_slot: bool = True,
+    store: EpisodeStore | None = None,
     recorder=NULL_RECORDER,
-) -> StackedRunOutcome:
+) -> "StackedRunOutcome | StreamingFleetReport":
     """Play ``len(seeds)`` episodes as one pass of the slot kernel.
 
     Bit-identical to running each seed through
     :meth:`FleetSimulation.run` with the same engine.  ``chunk_slots``
-    and ``regions`` apply to ``engine="stream"`` only, exactly as in
+    sets the window of ``engine="stream"``, exactly as in
     :meth:`FleetSimulation.run`.  ``collect_per_slot=False`` skips the
     per-(user, slot) cost series that only :meth:`StackedRunOutcome.to_reports`
     consumes — the Monte-Carlo metrics path reads the running totals
     instead, so callers headed straight for
     :meth:`StackedRunOutcome.to_metrics` can drop the ``(S·M, T)``
-    ledger plane entirely.
+    ledger plane entirely (a store always keeps it, one shard per chunk).
+
+    With a ``store`` (one seed only) the episode runs out of core and
+    resumably, one committed chunk per window, and the result is a
+    :class:`~repro.mec.streaming.StreamingFleetReport` over the store
+    (see the module docstring).  The caller owns the store: pass the
+    same one again to resume, and ``store.destroy()`` it when done.
     """
-    if engine not in FLEET_ENGINES:
-        raise ValueError(f"engine must be one of {FLEET_ENGINES}, got {engine!r}")
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed to stack")
-    stream = engine == "stream"
-    if stream:
-        if chunk_slots < 1:
-            raise ValueError("chunk_slots must be positive")
-        if regions < 1:
-            raise ValueError("regions must be positive")
-        if region_workers < 1:
-            raise ValueError("region_workers must be positive")
+    validate_execution_options(engine, chunk_slots, len(seeds))
+    if store is not None and len(seeds) != 1:
+        raise ValueError("an episode store holds one episode; pass one seed")
 
     sim = simulation
     config = sim.config
@@ -546,39 +629,43 @@ def run_stacked(
     n_services = owners.size
     streams = [sim._episode_streams(seed) for seed in seeds]
     run_rngs = [user_rngs for user_rngs, _, _ in streams]
+    width = chunk_slots if engine == "stream" else horizon
+    users_shape = (stack_size * n_users, horizon)
+    plans_shape = (stack_size * n_services, horizon)
 
     # Phase A: sample every run from its own SeedSequence children, in
     # the canonical order — every user draws only from their own
     # generator (trajectory randomness first, then that user's chaffs),
     # so packing runs into blocks is bit-identical to sampling the runs
-    # one at a time.
-    sample_token = recorder.begin(
-        "kernel/sample", engine=engine, runs=stack_size, users=n_users
-    )
-    users_st = np.empty((stack_size * n_users, horizon), dtype=np.int64)
-    plans_st = np.empty((stack_size * n_services, horizon), dtype=np.int64)
-    sim._sample_runs(run_rngs, users_st, plans_st)
-    recorder.end(sample_token)
+    # one at a time.  A store keeps the planes on disk and samples once.
+    sample_span = dict(engine=engine, runs=stack_size, users=n_users)
+    if store is None:
+        users_st = np.empty(users_shape, dtype=np.int64)
+        plans_st = np.empty(plans_shape, dtype=np.int64)
+        with recorder.span("kernel/sample", **sample_span):
+            sim._sample_runs(run_rngs, users_st, plans_st)
+    else:
+        resume_from = _open_store(store, sim, seeds[0], width)
+        if not store.meta.get("sampled"):
+            users_plane = store.create_plane("users", users_shape)
+            plans_plane = store.create_plane("plans", plans_shape)
+            with recorder.span("kernel/sample", **sample_span):
+                sim._sample_runs(run_rngs, users_plane, plans_plane)
+            users_plane.flush()
+            plans_plane.flush()
+            del users_plane, plans_plane
+            store.update_meta(sampled=True)
+        users_st = store.open_plane("users")
+        plans_st = store.open_plane("plans")
 
-    # Phase B: one chunk loop for the whole stack, writing straight into
-    # the outcome tensors.  A stack of one drives the plain kernel with
-    # its own engine; the stacked placement only pays off from S = 2.
-    engine_regions = regions if stream else 1
+    # Phase B: one window loop for the whole stack.  A stack of one
+    # drives the plain kernel with its own engine; the stacked placement
+    # only pays off from S = 2.
     if stack_size == 1:
-        engines = [
-            placement_engine(
-                sim.topology, regions=engine_regions, workers=region_workers
-            )
-        ]
+        engines = [PlacementEngine(sim.topology)]
         kernel = _FleetSlotKernel(sim, owners, is_real, engines[0])
     else:
-        stacked = _StackedPlacement(
-            sim,
-            n_services,
-            stack_size,
-            regions=engine_regions,
-            region_workers=region_workers,
-        )
+        stacked = _StackedPlacement(sim, n_services, stack_size)
         engines = stacked.engines
         kernel = _StackedSlotKernel(
             _StackedFleetView(sim, stack_size),
@@ -586,31 +673,60 @@ def run_stacked(
             np.tile(is_real, stack_size),
             stacked,
         )
-    histories_st = np.empty((stack_size * n_services, horizon), dtype=np.int64)
-    per_slot_st = (
-        np.empty((stack_size * n_users, horizon), dtype=float)
-        if collect_per_slot
-        else None
-    )
-    width = chunk_slots if stream else horizon
     placement_token = recorder.begin(
         "kernel/placement", engine=engine, runs=stack_size, slots=horizon
     )
-    for start in range(0, horizon, width):
-        window = slice(start, min(start + width, horizon))
-        kernel.advance(
-            start,
-            users_st[:, window],
-            plans_st[:, window],
-            histories_st[:, window],
-            None if per_slot_st is None else per_slot_st[:, window],
+    if store is None:
+        histories_st = np.empty(plans_shape, dtype=np.int64)
+        per_slot_st = (
+            np.empty(users_shape, dtype=float) if collect_per_slot else None
         )
+        for start in range(0, horizon, width):
+            window = slice(start, min(start + width, horizon))
+            kernel.advance(
+                start,
+                users_st[:, window],
+                plans_st[:, window],
+                histories_st[:, window],
+                None if per_slot_st is None else per_slot_st[:, window],
+            )
+    else:
+        _spill_windows(
+            kernel, store, users_st, plans_st, width, resume_from, recorder
+        )
+        del users_st, plans_st
     recorder.end(placement_token)
     for engine_ in engines:
         recorder.record_stats("placement", engine_.stats.as_dict())
 
     # Phase C: each run's presentation permutation — the same single
     # draw from the same shuffle child as every other engine.
+    orders = [
+        sim._presentation_order(shuffle_rng, n_services)
+        for _, shuffle_rng, _ in streams
+    ]
+    svc_windows = (
+        None if sim._schedule is None else sim._schedule.user_windows[owners]
+    )
+    if store is not None:
+        return StreamingFleetReport(
+            sim,
+            store,
+            chunk_slots=width,
+            owners=owners,
+            is_real=is_real,
+            service_ids=service_ids,
+            order=orders[0],
+            mig_total=kernel.mig_total,
+            comm_total=kernel.comm_total,
+            chaff_total=kernel.chaff_total,
+            migrations=kernel.migrations,
+            service_migrations=kernel.service_migrations,
+            placement=kernel.placement.stats,
+            evaluation_seed=streams[0][2],
+            svc_windows=svc_windows,
+            recorder=recorder,
+        )
     return StackedRunOutcome(
         sim,
         owners=owners,
@@ -625,14 +741,7 @@ def run_stacked(
         migrations=kernel.migrations,
         service_migrations_st=kernel.service_migrations,
         placement_stats=[engine_.stats for engine_ in engines],
-        orders=[
-            sim._presentation_order(shuffle_rng, n_services)
-            for _, shuffle_rng, _ in streams
-        ],
+        orders=orders,
         evaluation_seeds=[evaluation_seed for _, _, evaluation_seed in streams],
-        svc_windows=(
-            None
-            if sim._schedule is None
-            else sim._schedule.user_windows[owners]
-        ),
+        svc_windows=svc_windows,
     )

@@ -1,32 +1,16 @@
-"""Streaming fleet engine: bounded-memory, resumable horizon chunks.
+"""The store-backed fleet episode: its report and its fingerprint.
 
-The in-memory fleet driver (:func:`repro.mec.runstack.run_stacked`)
-holds the full ``(N, T)`` observation plane (and per-user ``(M, T)`` cost
-curves) before anything is scored, which caps it at M≈10² users.  The
-paper's privacy guarantees are population effects — detection falls like
-~1/N as chaffs and crowd blend — so the interesting regime is exactly
-the one a full plane cannot reach.  :class:`StreamingFleetEngine` runs
-the *same* simulation as a disk-backed pipeline:
+:func:`repro.mec.runstack.run_stacked` with an
+:class:`~repro.sim.cache.EpisodeStore` runs one episode out of core:
+trajectories and chaff plans live in the store's disk-backed memmap
+planes, every slot window is committed as chunk shards plus a carry
+snapshot of the slot kernel, and an interrupted episode resumes from its
+last complete chunk.  This module holds what that episode leaves behind:
 
-* **Sampling** writes straight into disk-backed memmap planes of an
-  :class:`~repro.sim.cache.EpisodeStore` through the shared
-  :meth:`~repro.mec.fleet.FleetSimulation._sample_runs` sampler, which
-  splits a fleet too large for one block into user ranges (every user
-  draws only from their own generator, so block sampling is
-  bit-identical to whole-fleet sampling).
-* **The slot loop** advances the horizon in fixed-size chunks of
-  ``chunk_slots`` slots through
-  :meth:`~repro.mec.fleet._FleetSlotKernel.advance`, the slot loop the
-  in-memory driver runs too — bit-identity by construction — while
-  holding only ``(N, chunk)`` planes.  Completed chunk planes and
-  carry-over state snapshots are committed to the store, so an
-  interrupted episode resumes from its last complete chunk.  Dynamic
-  worlds read each chunk as slices of the schedule the simulation
-  compiled once.
-* **Placement** optionally shards by topology region
-  (:class:`~repro.mec.placement.ShardedPlacementEngine`): independent
-  regions settle concurrently, cross-region spills fall back to the
-  serial walk, and the outcome stays bit-identical to the serial engine.
+* :func:`_simulation_fingerprint`, the digest of everything besides the
+  seed that shapes an episode — part of the store's identity, so a store
+  can only be resumed by the simulation that wrote it;
+* :class:`StreamingFleetReport`, the handle onto the stored episode.
 
 :meth:`StreamingFleetReport.materialise` folds the chunks back into an
 ordinary :class:`~repro.mec.fleet.FleetReport` (bit-identical to the
@@ -44,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import tempfile
 from typing import Iterator
 
 import numpy as np
@@ -53,24 +36,19 @@ from ..core.eavesdropper.detector import TrajectoryDetector
 from ..core.eavesdropper.scoring import TieBreakGenerators, eq1_decide
 from ..mobility.markov import MarkovChain
 from ..sim.cache import EpisodeStore
-from ..sim.seeding import as_seed_sequence
 from ..telemetry import NULL_RECORDER
 from .costs import CostLedger
 from .fleet import (
     FleetEvaluation,
     FleetReport,
     FleetSimulation,
-    _FleetSlotKernel,
     materialise_full_plane,
     tracked_slots,
     windows_censor,
 )
-from .placement import PlacementStats, placement_engine
+from .placement import PlacementStats
 
-__all__ = ["StreamingFleetEngine", "StreamingFleetReport", "DEFAULT_CHUNK_SLOTS"]
-
-#: Default number of slots advanced per chunk.
-DEFAULT_CHUNK_SLOTS = 64
+__all__ = ["StreamingFleetReport"]
 
 
 def _simulation_fingerprint(simulation: FleetSimulation) -> str:
@@ -108,13 +86,14 @@ def _simulation_fingerprint(simulation: FleetSimulation) -> str:
 
 
 class StreamingFleetReport:
-    """Handle onto one streamed episode: totals in memory, planes on disk.
+    """Handle onto one store-backed episode: totals in memory, planes on disk.
 
     Everything O(M) or O(N) — cost totals, migration counters, placement
     stats, the presentation permutation, service windows — lives on the
     report; everything O(N x T) stays in the :class:`EpisodeStore` and is
     reached through :meth:`iter_plane_chunks`, :meth:`evaluate` (chunked
     scoring) or :meth:`materialise` (guarded full-plane reconstruction).
+    The store belongs to the caller, who destroys it when done.
     """
 
     def __init__(
@@ -122,7 +101,6 @@ class StreamingFleetReport:
         simulation: FleetSimulation,
         store: EpisodeStore,
         *,
-        owns_store: bool,
         chunk_slots: int,
         owners: np.ndarray,
         is_real: np.ndarray,
@@ -141,7 +119,6 @@ class StreamingFleetReport:
         self.recorder = recorder
         self.simulation = simulation
         self.store = store
-        self.owns_store = owns_store
         self.chunk_slots = int(chunk_slots)
         self.owners = owners
         self.is_real = is_real
@@ -197,11 +174,6 @@ class StreamingFleetReport:
         for index, chunk in self.store.iter_chunks("histories"):
             start = index * self.chunk_slots
             yield start, start + chunk.shape[1], chunk[self.order]
-
-    def close(self) -> None:
-        """Release the episode store (deleted when owned by this run)."""
-        if self.owns_store:
-            self.store.destroy()
 
     # ------------------------------------------------------------------
     def materialise(self) -> FleetReport:
@@ -297,241 +269,4 @@ class StreamingFleetReport:
             chosen_rows=chosen,
             tracking_per_user=tracked / observed,
             detected_per_user=(chosen == real_rows).astype(float),
-        )
-
-
-class StreamingFleetEngine:
-    """Advances a :class:`FleetSimulation` in bounded-memory slot chunks.
-
-    Parameters
-    ----------
-    simulation:
-        The fleet to run; results are bit-identical to
-        ``simulation.run(seed, engine="batch")`` for any chunk size,
-        region count and worker count.
-    chunk_slots:
-        Slots advanced (and spilled) per chunk.
-    regions:
-        Topology regions for sharded placement (1 = the serial engine).
-    region_workers:
-        Threads settling independent regions concurrently.
-    store:
-        Episode store to spill into; ``None`` creates an ephemeral
-        temporary store owned (and deleted) by the resulting report.
-        Pass a persistent store to make the episode resumable: a rerun
-        with the same seed continues from the last committed chunk.
-    """
-
-    def __init__(
-        self,
-        simulation: FleetSimulation,
-        *,
-        chunk_slots: int = DEFAULT_CHUNK_SLOTS,
-        regions: int = 1,
-        region_workers: int = 1,
-        store: EpisodeStore | None = None,
-        recorder=NULL_RECORDER,
-    ) -> None:
-        if chunk_slots < 1:
-            raise ValueError("chunk_slots must be positive")
-        if regions < 1:
-            raise ValueError("regions must be positive")
-        if region_workers < 1:
-            raise ValueError("region_workers must be positive")
-        self.simulation = simulation
-        self.chunk_slots = int(chunk_slots)
-        self.regions = int(regions)
-        self.region_workers = int(region_workers)
-        self._store = store
-        self.recorder = recorder
-
-    # ------------------------------------------------------------------
-    def _sample(
-        self,
-        store: EpisodeStore,
-        user_rngs: "list[np.random.Generator]",
-    ) -> None:
-        """Phase A: sample trajectories and plans into the memmap planes."""
-        config = self.simulation.config
-        users_plane = store.create_plane("users", (config.n_users, config.horizon))
-        plans_plane = store.create_plane(
-            "plans", (config.n_services, config.horizon)
-        )
-        with self.recorder.span(
-            "kernel/sample", engine="stream", users=config.n_users
-        ):
-            self.simulation._sample_runs([user_rngs], users_plane, plans_plane)
-            users_plane.flush()
-            plans_plane.flush()
-        del users_plane, plans_plane
-        store.update_meta(sampled=True)
-
-    def _restore_kernel(
-        self, kernel: _FleetSlotKernel, carry: dict[str, np.ndarray]
-    ) -> None:
-        kernel.cells = carry["cells"].astype(np.int64)
-        kernel.mig_total = carry["mig_total"].astype(float)
-        kernel.comm_total = carry["comm_total"].astype(float)
-        kernel.chaff_total = carry["chaff_total"].astype(float)
-        kernel.migrations = carry["migrations"].astype(np.int64)
-        kernel.service_migrations = carry["service_migrations"].astype(np.int64)
-        if "prev_live" in carry:
-            kernel.prev_live = carry["prev_live"].astype(bool)
-            kernel.prev_caps = carry["prev_caps"].astype(np.int64)
-        placement = kernel.placement
-        placement.load = carry["load"].astype(np.int64)
-        placement.capacities = carry["capacities"].astype(np.int64)
-        counters = carry["placement_stats"].astype(np.int64)
-        placement.stats = PlacementStats(*(int(value) for value in counters))
-
-    def _save_kernel(
-        self, store: EpisodeStore, index: int, kernel: _FleetSlotKernel
-    ) -> None:
-        arrays: dict[str, np.ndarray] = {
-            "cells": kernel.cells,
-            "mig_total": kernel.mig_total,
-            "comm_total": kernel.comm_total,
-            "chaff_total": kernel.chaff_total,
-            "migrations": kernel.migrations,
-            "service_migrations": kernel.service_migrations,
-            "load": kernel.placement.load,
-            "capacities": kernel.placement.capacities,
-            "placement_stats": np.asarray(
-                [
-                    kernel.placement.stats.admitted,
-                    kernel.placement.stats.spilled,
-                    kernel.placement.stats.rejected,
-                    kernel.placement.stats.evicted,
-                    kernel.placement.stats.stranded,
-                ],
-                dtype=np.int64,
-            ),
-        }
-        if kernel.prev_live is not None:
-            arrays["prev_live"] = kernel.prev_live.astype(np.uint8)
-            arrays["prev_caps"] = kernel.prev_caps
-        store.save_state(index, **arrays)
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        seed: "int | np.random.SeedSequence",
-        *,
-        stop_after_chunks: int | None = None,
-    ) -> StreamingFleetReport | None:
-        """Stream one episode; returns ``None`` if stopped before the end.
-
-        ``stop_after_chunks`` bounds how many *new* chunks this call
-        advances (for tests and cooperative scheduling); a later call
-        with the same seed and store resumes from the last committed
-        chunk and finishes the episode.
-        """
-        sim = self.simulation
-        config = sim.config
-        n_users, horizon = config.n_users, config.horizon
-        root = as_seed_sequence(seed)
-        user_rngs, shuffle_rng, evaluation_seed = sim._episode_streams(root)
-
-        owns_store = self._store is None
-        store = self._store or EpisodeStore(
-            tempfile.mkdtemp(prefix="repro-episode-")
-        )
-        identity = {
-            "entropy": str(root.entropy),
-            "spawn_key": [int(part) for part in root.spawn_key],
-            "n_users": n_users,
-            "horizon": horizon,
-            "chunk_slots": self.chunk_slots,
-            "simulation": _simulation_fingerprint(sim),
-        }
-        meta = store.meta
-        for key, value in identity.items():
-            if key in meta and meta[key] != value:
-                raise ValueError(
-                    f"episode store holds a different episode: {key} is "
-                    f"{meta[key]!r}, this run needs {value!r}"
-                )
-        store.update_meta(**identity)
-
-        owners, is_real, service_ids = sim._service_layout(config.chaffs_per_user())
-        n_services = owners.size
-        if not store.meta.get("sampled"):
-            self._sample(store, user_rngs)
-
-        svc_windows = (
-            None if sim._schedule is None else sim._schedule.user_windows[owners]
-        )
-        kernel = _FleetSlotKernel(
-            sim,
-            owners,
-            is_real,
-            placement_engine(
-                sim.topology, regions=self.regions, workers=self.region_workers
-            ),
-        )
-        n_chunks = -(-horizon // self.chunk_slots)
-        committed = set(store.completed("histories"))
-        resume_from = 0
-        while resume_from in committed:
-            resume_from += 1
-        if resume_from > 0:
-            self._restore_kernel(kernel, store.load_state(resume_from - 1))
-
-        users_plane = store.open_plane("users")
-        plans_plane = store.open_plane("plans")
-        advanced = 0
-        recorder = self.recorder
-        placement_token = recorder.begin(
-            "kernel/placement", engine="stream", chunks=n_chunks - resume_from
-        )
-        for chunk in range(resume_from, n_chunks):
-            start = chunk * self.chunk_slots
-            stop = min(start + self.chunk_slots, horizon)
-            hist_chunk = np.empty((n_services, stop - start), dtype=np.int64)
-            per_slot_chunk = np.empty((n_users, stop - start), dtype=float)
-            kernel.advance(
-                start,
-                np.asarray(users_plane[:, start:stop]),
-                np.asarray(plans_plane[:, start:stop]),
-                hist_chunk,
-                per_slot_chunk,
-            )
-            with recorder.span("kernel/spill", chunk=chunk):
-                store.append_chunk("histories", chunk, hist_chunk)
-                store.append_chunk("per_slot", chunk, per_slot_chunk)
-                self._save_kernel(store, chunk, kernel)
-            advanced += 1
-            if (
-                stop_after_chunks is not None
-                and advanced >= stop_after_chunks
-                and chunk + 1 < n_chunks
-            ):
-                del users_plane, plans_plane
-                recorder.end(placement_token)
-                return None
-        del users_plane, plans_plane
-        recorder.end(placement_token)
-
-        if resume_from >= n_chunks:
-            # Fully resumed episode: the totals live in the last carry.
-            self._restore_kernel(kernel, store.load_state(n_chunks - 1))
-        recorder.record_stats("placement", kernel.placement.stats.as_dict())
-        return StreamingFleetReport(
-            sim,
-            store,
-            owns_store=owns_store,
-            chunk_slots=self.chunk_slots,
-            owners=owners,
-            is_real=is_real,
-            service_ids=service_ids,
-            order=sim._presentation_order(shuffle_rng, n_services),
-            mig_total=kernel.mig_total,
-            comm_total=kernel.comm_total,
-            chaff_total=kernel.chaff_total,
-            migrations=kernel.migrations,
-            service_migrations=kernel.service_migrations,
-            placement=kernel.placement.stats,
-            evaluation_seed=evaluation_seed,
-            svc_windows=svc_windows,
-            recorder=recorder,
         )

@@ -12,8 +12,8 @@ Keying rules:
 * the configuration enters the key as its canonical JSON form (sorted
   keys, no whitespace);
 * execution-only settings that are proven not to affect the numbers —
-  the ``workers`` count, the chain storage ``backend``, the streaming
-  knobs (``stream`` / ``chunk_slots`` / ``regions``) and ``run_stack``,
+  the ``workers`` count, the chain storage ``backend``, the window
+  knobs (``stream`` / ``chunk_slots``) and ``run_stack``,
   all bit-identical by construction — are stripped first,
   so a cached serial result satisfies a parallel re-run and vice versa;
 * the package version is included, so upgrading the code invalidates
@@ -22,7 +22,8 @@ Keying rules:
   arguments) makes the call uncacheable rather than silently wrong.
 
 Besides the memo-cache, this module hosts the :class:`EpisodeStore`: an
-append/iterate chunk store the streaming fleet engine spills completed
+append/iterate chunk store the store-backed fleet driver
+(:func:`repro.mec.runstack.run_stacked` with ``store=``) spills completed
 horizon chunks through.  Where the memo-cache maps *whole experiment
 configs* to small JSON results, the episode store holds the *large array
 planes of one episode*, sharded along the time axis with a manifest, so
@@ -62,7 +63,6 @@ EXECUTION_ONLY_KEYS = (
     "backend",
     "stream",
     "chunk_slots",
-    "regions",
     "run_stack",
     # Telemetry knobs observe a run without touching its numbers or RNG
     # streams (pinned by the telemetry bit-identity suite), so recording
@@ -259,7 +259,7 @@ class ResultCache:
 class EpisodeStore:
     """Directory of chunk shards plus a manifest for one episode.
 
-    The streaming fleet engine advances the horizon in fixed-size slot
+    The store-backed fleet driver advances the horizon in fixed-size slot
     chunks and never holds a full ``(N, T)`` plane; each completed chunk
     is spilled here as ``<kind>-<index>.npy`` (atomic write), carry-over
     state snapshots land as ``carry-<index>.npz``, and full-horizon

@@ -264,13 +264,12 @@ class FleetExperimentConfig:
         ``"auto"``); bit-identical results, sparse wins at large
         ``n_cells``.
     stream:
-        Run fleet episodes through the streaming engine (bounded-memory
-        horizon chunks); bit-identical to the batch engine.
+        Advance fleet episodes in ``chunk_slots``-slot windows instead of
+        one whole-horizon window; bit-identical to the batch engine.
+        Memory is the same: the Monte-Carlo still holds every episode's
+        full planes.
     chunk_slots:
-        Slots per streaming chunk (only used with ``stream=True``).
-    regions:
-        Topology regions for sharded placement (only used with
-        ``stream=True``; 1 = serial placement).
+        Slots per window (only used with ``stream=True``).
     run_stack:
         Monte-Carlo episodes folded into one pass of the slot kernel
         (``1`` = per-episode execution).  Execution-only: every stack
@@ -292,7 +291,6 @@ class FleetExperimentConfig:
     backend: str = "dense"
     stream: bool = False
     chunk_slots: int = 64
-    regions: int = 1
     run_stack: int = 1
 
     def __post_init__(self) -> None:
@@ -316,8 +314,6 @@ class FleetExperimentConfig:
             raise ValueError("backend must be 'dense', 'sparse' or 'auto'")
         if self.chunk_slots < 1:
             raise ValueError("chunk_slots must be positive")
-        if self.regions < 1:
-            raise ValueError("regions must be positive")
         if self.run_stack < 1:
             raise ValueError("run_stack must be positive")
         # Feasibility is validated for the sweep points the experiment

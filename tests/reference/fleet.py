@@ -216,8 +216,9 @@ def _run_stacked_loop(
     recorder=NULL_RECORDER,
     **_execution,
 ) -> _LoopOutcome:
-    # Engine, chunking, regions and per-slot collection are execution
-    # knobs of the vectorised driver; the oracle has none of them.
+    # Engine, window size and per-slot collection are execution knobs
+    # of the vectorised driver; the oracle has none of them.  It has no
+    # episode store either: no caller routes a store-backed run here.
     return _LoopOutcome(
         simulation,
         [run_fleet_loop(simulation, seed, recorder=recorder) for seed in seeds],

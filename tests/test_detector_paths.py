@@ -14,6 +14,8 @@ switches, whose plane holds ``-1`` dead slots.
 
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -31,10 +33,10 @@ from repro.core.eavesdropper import (
 )
 from repro.core.strategies import get_strategy
 from repro.mec.fleet import FleetSimulation, FleetSimulationConfig
-from repro.mec.streaming import StreamingFleetEngine
 from repro.mec.topology import MECTopology
 from repro.mobility.grid import GridTopology
 from repro.mobility.models import paper_synthetic_models
+from repro.sim.cache import EpisodeStore
 from repro.world import RegimeSwitch, Timeline, UserArrival, UserDeparture
 
 SEEDS = (1, 2, 3)
@@ -100,11 +102,11 @@ def _stacked(simulation, detector, stack):
 def _streamed(simulation, detector):
     results = []
     for seed in SEEDS:
-        streamed = StreamingFleetEngine(simulation, chunk_slots=7).run(seed)
-        try:
+        with tempfile.TemporaryDirectory() as root:
+            streamed = simulation.run_stacked(
+                [seed], engine="stream", chunk_slots=7, store=EpisodeStore(root)
+            )
             e = streamed.evaluate(simulation.chain, detector)
-        finally:
-            streamed.close()
         results.append((e.chosen_rows, e.tracking_per_user, e.detected_per_user))
     return results
 

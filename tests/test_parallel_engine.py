@@ -382,7 +382,6 @@ class TestResultCache:
             "backend",
             "stream",
             "chunk_slots",
-            "regions",
             "run_stack",
             "telemetry",
             "metrics_out",
@@ -395,7 +394,6 @@ class TestResultCache:
             "backend": "sparse",
             "stream": True,
             "chunk_slots": 7,
-            "regions": 4,
             "run_stack": 16,
             "telemetry": True,
             "metrics_out": "metrics.json",

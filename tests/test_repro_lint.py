@@ -285,7 +285,7 @@ class TestConfigContract:
         from repro.sim.cache import EXECUTION_ONLY_KEYS, experiment_cache_key
         from repro.sim.config import FleetExperimentConfig
 
-        assert {"stream", "chunk_slots", "regions"} <= set(EXECUTION_ONLY_KEYS)
+        assert {"stream", "chunk_slots"} <= set(EXECUTION_ONLY_KEYS)
         base = FleetExperimentConfig().to_dict()
         key = experiment_cache_key("fleet", base)
         assert key is not None
@@ -293,9 +293,7 @@ class TestConfigContract:
             probed = dict(base)
             probed[field] = "__probe__"
             assert experiment_cache_key("fleet", probed) == key, field
-        streamed = FleetExperimentConfig(
-            stream=True, chunk_slots=7, regions=4
-        ).to_dict()
+        streamed = FleetExperimentConfig(stream=True, chunk_slots=7).to_dict()
         assert experiment_cache_key("fleet", streamed) == key
 
     def test_registry_config_example_round_trips(self):

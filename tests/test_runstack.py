@@ -209,7 +209,6 @@ class TestStackedMonteCarloIdentity:
             workers=workers,
             engine=engine,
             chunk_slots=7,
-            regions=2,
             run_stack=run_stack,
         )
         assert_statistics_identical(reference[dynamic], stacked)
@@ -264,7 +263,7 @@ class TestExecutionOptionValidation:
         [
             ({"engine": "bogus"}, "engine"),
             ({"engine": "batch", "chunk_slots": 0}, "chunk_slots"),
-            ({"engine": "batch", "regions": -3}, "regions"),
+            ({"engine": "stream", "chunk_slots": -3}, "chunk_slots"),
             ({"engine": "stream", "run_stack": 0}, "run_stack"),
         ],
     )
@@ -292,7 +291,7 @@ class TestStackedRunOutcome:
         timeline = _edge_timeline(regime9) if dynamic else None
         seeds = [np.random.SeedSequence(40 + k) for k in range(3)]
         outcome = _make_sim(chain9, grid9, timeline).run_stacked(
-            seeds, engine=engine, chunk_slots=7, regions=2
+            seeds, engine=engine, chunk_slots=7
         )
         assert outcome.run_stack == 3
         reports = outcome.to_reports()
@@ -359,7 +358,6 @@ class TestSimulateFleetReportsKnobs:
             workers=workers,
             engine="stream",
             chunk_slots=7,
-            regions=2,
         )
         for expected, got in zip(reference_reports, streamed, strict=True):
             assert_reports_identical(expected, got)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -27,11 +28,11 @@ from repro.core.eavesdropper.detector import MaximumLikelihoodDetector
 from repro.core.eavesdropper.scoring import TieBreakGenerators, eq1_decide, eq1_scores
 from repro.core.strategies import get_strategy
 from repro.mec.fleet import FleetSimulation, FleetSimulationConfig
-from repro.mec.streaming import StreamingFleetEngine
 from repro.mec.topology import MECTopology
 from repro.mobility.markov import MarkovChain
 from repro.mobility.models import paper_synthetic_models
 from repro.mobility.sparse import as_backend
+from repro.sim.cache import EpisodeStore
 from repro.sim.seeding import spawn_generators
 
 MATRIX = np.array(
@@ -193,11 +194,11 @@ class TestTieBreakGenerators:
         detector = MaximumLikelihoodDetector()
         report = sim.run(seed)
         in_memory = report.evaluate(sim.chain, detector).chosen_rows
-        streamed = StreamingFleetEngine(sim).run(seed)
-        try:
+        with tempfile.TemporaryDirectory() as root:
+            streamed = sim.run_stacked(
+                [seed], engine="stream", store=EpisodeStore(root)
+            )
             chunked = streamed.evaluate(sim.chain, detector).chosen_rows
-        finally:
-            streamed.close()
         # to_metrics reports detection per user; map it back through the
         # plane's real rows to compare decisions.
         detected = sim.run_stacked([seed]).to_metrics(detector)[0][1]

@@ -1,18 +1,19 @@
-"""Tests for the streaming, region-sharded fleet engine.
+"""Tests for the windowed and the store-backed fleet driver.
 
 The load-bearing contract is **chunk-boundary bit-identity**: for any
 chunk size (including 1, a prime that straddles every event, the whole
-horizon, and larger-than-the-horizon), any region count and any worker
-count, the streaming engine reproduces the batch engine's report
-bit-for-bit — planes, ledgers, placement stats and evaluations — for
-static worlds and for dynamic timelines whose events land exactly on
-chunk edges.  Around that sit the subsystem suites: the episode store's
-append/iterate/resume surface, sharded placement equivalence,
-incremental detector scoring, the result cache's orphan sweep, and the
-CLI knobs.
+horizon, and larger-than-the-horizon), any run-stack size and any worker
+count, ``run_stacked(..., engine="stream")`` — in memory or spilling to
+an :class:`~repro.sim.cache.EpisodeStore` — reproduces the batch
+engine's report bit-for-bit (planes, ledgers, placement stats and
+evaluations) for static worlds and for dynamic timelines whose events
+land exactly on chunk edges.  Around that sit the subsystem suites: the
+episode store's append/iterate surface, resume after a crash at each of
+a chunk's three commits, the store's episode fingerprint, incremental
+detector scoring, the result cache's orphan sweep, and the CLI knobs.
 
-The worker count for sharded tests comes from ``REPRO_TEST_WORKERS``
-(default 2) so CI can pin the threaded path.
+The worker count of the Monte-Carlo tests comes from
+``REPRO_TEST_WORKERS`` (default 2).
 """
 
 from __future__ import annotations
@@ -37,12 +38,6 @@ from repro.mec.fleet import (
     materialise_full_plane,
     run_fleet_monte_carlo,
 )
-from repro.mec.placement import (
-    PlacementEngine,
-    RegionPartition,
-    ShardedPlacementEngine,
-)
-from repro.mec.streaming import StreamingFleetEngine
 from repro.mec.topology import MECTopology
 from repro.mobility.grid import GridTopology
 from repro.mobility.models import paper_synthetic_models
@@ -60,10 +55,10 @@ from repro.world import (
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
 
 HORIZON = 30
-#: Chunk sizes from the issue: 1, a prime, exactly T, larger than T.
+#: Chunk sizes: 1, a prime, exactly T, larger than T.
 CHUNK_SIZES = (1, 7, HORIZON, HORIZON + 13)
-#: Region counts: serial, a split, one region per cell.
-REGION_COUNTS = (1, 2, 9)
+#: Run-stack sizes: one episode, a pair, more runs than chunk-7 windows.
+STACK_SIZES = (1, 2, 9)
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +113,13 @@ def _make_sim(chain, grid, timeline=None) -> FleetSimulation:
     )
 
 
+def _stored(simulation, seed, root, chunk_slots=7, store_class=EpisodeStore):
+    """One store-backed episode spilled under ``root``."""
+    return simulation.run_stacked(
+        [seed], engine="stream", chunk_slots=chunk_slots, store=store_class(root)
+    )
+
+
 def assert_reports_identical(batch, streamed) -> None:
     """Bit-identity across every field the paper's figures consume."""
     assert np.array_equal(batch.user_trajectories, streamed.user_trajectories)
@@ -153,50 +155,51 @@ def assert_reports_identical(batch, streamed) -> None:
 
 class TestStreamBatchIdentity:
     @pytest.mark.parametrize("chunk_slots", CHUNK_SIZES)
-    @pytest.mark.parametrize("regions", REGION_COUNTS)
-    def test_static_world(self, chain9, grid9, chunk_slots, regions):
-        batch = _make_sim(chain9, grid9).run(123, engine="batch")
-        streamed = _make_sim(chain9, grid9).run(
-            123, engine="stream", chunk_slots=chunk_slots, regions=regions
+    @pytest.mark.parametrize("run_stack", STACK_SIZES)
+    def test_static_world(self, chain9, grid9, chunk_slots, run_stack):
+        seeds = [123 + run for run in range(run_stack)]
+        streamed = _make_sim(chain9, grid9).run_stacked(
+            seeds, engine="stream", chunk_slots=chunk_slots
         )
-        assert_reports_identical(batch, streamed)
+        for seed, report in zip(seeds, streamed.to_reports(), strict=True):
+            batch = _make_sim(chain9, grid9).run(seed, engine="batch")
+            assert_reports_identical(batch, report)
 
     @pytest.mark.parametrize("chunk_slots", CHUNK_SIZES)
-    @pytest.mark.parametrize("regions", REGION_COUNTS)
+    @pytest.mark.parametrize("run_stack", STACK_SIZES)
     def test_dynamic_world_events_on_chunk_edges(
-        self, chain9, regime9, grid9, chunk_slots, regions
+        self, chain9, regime9, grid9, chunk_slots, run_stack
     ):
         timeline = _edge_timeline(regime9)
-        batch = _make_sim(chain9, grid9, timeline).run(321, engine="batch")
-        streamed = _make_sim(chain9, grid9, timeline).run(
-            321, engine="stream", chunk_slots=chunk_slots, regions=regions
+        seeds = [321 + run for run in range(run_stack)]
+        streamed = _make_sim(chain9, grid9, timeline).run_stacked(
+            seeds, engine="stream", chunk_slots=chunk_slots
         )
-        assert_reports_identical(batch, streamed)
+        for seed, report in zip(seeds, streamed.to_reports(), strict=True):
+            batch = _make_sim(chain9, grid9, timeline).run(seed, engine="batch")
+            assert_reports_identical(batch, report)
 
-    @pytest.mark.parametrize("regions", [2, 9])
+    @pytest.mark.parametrize("chunk_slots", CHUNK_SIZES)
     @pytest.mark.parametrize("dynamic", [False, True])
-    def test_region_workers_are_invisible(
-        self, chain9, regime9, grid9, regions, dynamic
+    def test_store_backed_episode(
+        self, chain9, regime9, grid9, tmp_path, chunk_slots, dynamic
     ):
         timeline = _edge_timeline(regime9) if dynamic else None
-        serial = _make_sim(chain9, grid9, timeline).run(
-            7, engine="stream", chunk_slots=7, regions=regions, region_workers=1
+        batch = _make_sim(chain9, grid9, timeline).run(321, engine="batch")
+        streamed = _stored(
+            _make_sim(chain9, grid9, timeline), 321, tmp_path / "ep", chunk_slots
         )
-        threaded = _make_sim(chain9, grid9, timeline).run(
-            7,
-            engine="stream",
-            chunk_slots=7,
-            regions=regions,
-            region_workers=WORKERS,
+        assert streamed.store.completed("histories") == list(
+            range(-(-HORIZON // chunk_slots))
         )
-        assert_reports_identical(serial, threaded)
+        assert_reports_identical(batch, streamed.materialise())
 
     @pytest.mark.parametrize("dynamic", [False, True])
     def test_evaluations_are_identical(self, chain9, regime9, grid9, dynamic):
         timeline = _edge_timeline(regime9) if dynamic else None
         batch = _make_sim(chain9, grid9, timeline).run(99, engine="batch")
         streamed = _make_sim(chain9, grid9, timeline).run(
-            99, engine="stream", chunk_slots=7, regions=2
+            99, engine="stream", chunk_slots=7
         )
         for detector in (MaximumLikelihoodDetector(), RandomGuessDetector()):
             expected = batch.evaluate(chain9, detector)
@@ -226,24 +229,26 @@ class TestStreamBatchIdentity:
             workers=WORKERS,
             engine="stream",
             chunk_slots=5,
-            regions=2,
         )
         assert np.array_equal(batch.detection_runs, streamed.detection_runs)
         assert np.array_equal(batch.tracking_runs, streamed.tracking_runs)
         assert np.array_equal(batch.cost_runs, streamed.cost_runs)
         assert np.array_equal(batch.migrations_runs, streamed.migrations_runs)
 
-    def test_run_validates_engine_and_knobs(self, chain9, grid9):
+    def test_run_validates_engine_and_knobs(self, chain9, grid9, tmp_path):
         sim = _make_sim(chain9, grid9)
         assert "stream" in FLEET_ENGINES
         with pytest.raises(ValueError, match="engine"):
             sim.run(1, engine="vectorised")
         with pytest.raises(ValueError, match="chunk_slots"):
-            StreamingFleetEngine(sim, chunk_slots=0)
-        with pytest.raises(ValueError, match="regions"):
-            StreamingFleetEngine(sim, regions=0)
-        with pytest.raises(ValueError, match="region_workers"):
-            StreamingFleetEngine(sim, region_workers=0)
+            sim.run(1, engine="stream", chunk_slots=0)
+        store = EpisodeStore(tmp_path / "ep")
+        with pytest.raises(ValueError, match="chunk_slots"):
+            sim.run_stacked([1], engine="stream", chunk_slots=0, store=store)
+        with pytest.raises(ValueError, match="one seed"):
+            sim.run_stacked([1, 2], engine="stream", store=store)
+        with pytest.raises(ValueError, match="at least one seed"):
+            sim.run_stacked([])
 
 
 # ----------------------------------------------------------------------
@@ -255,58 +260,40 @@ class TestIncrementalEvaluate:
     @pytest.mark.parametrize("dynamic", [False, True])
     @pytest.mark.parametrize("chunk_slots", [1, 7, HORIZON + 13])
     def test_chunked_scores_match_batch(
-        self, chain9, regime9, grid9, dynamic, chunk_slots
+        self, chain9, regime9, grid9, tmp_path, dynamic, chunk_slots
     ):
         timeline = _edge_timeline(regime9) if dynamic else None
         batch = _make_sim(chain9, grid9, timeline).run(55, engine="batch")
-        engine = StreamingFleetEngine(
-            _make_sim(chain9, grid9, timeline), chunk_slots=chunk_slots
+        streamed = _stored(
+            _make_sim(chain9, grid9, timeline), 55, tmp_path / "ep", chunk_slots
         )
-        streamed = engine.run(55)
-        try:
-            for detector in (MaximumLikelihoodDetector(), RandomGuessDetector()):
-                expected = batch.evaluate(chain9, detector)
-                got = streamed.evaluate(chain9, detector)
-                # Choices and detections are exact; tracking is an exact
-                # integer count over the horizon, so it is too.
-                assert np.array_equal(expected.chosen_rows, got.chosen_rows)
-                assert np.array_equal(
-                    expected.detected_per_user, got.detected_per_user
-                )
-                assert np.allclose(
-                    expected.tracking_per_user, got.tracking_per_user
-                )
-        finally:
-            streamed.close()
+        for detector in (MaximumLikelihoodDetector(), RandomGuessDetector()):
+            expected = batch.evaluate(chain9, detector)
+            got = streamed.evaluate(chain9, detector)
+            # Choices and detections are exact; tracking is an exact
+            # integer count over the horizon, so it is too.
+            assert np.array_equal(expected.chosen_rows, got.chosen_rows)
+            assert np.array_equal(expected.detected_per_user, got.detected_per_user)
+            assert np.allclose(expected.tracking_per_user, got.tracking_per_user)
 
-    def test_streamed_totals_match_batch(self, chain9, grid9):
+    def test_streamed_totals_match_batch(self, chain9, grid9, tmp_path):
         batch = _make_sim(chain9, grid9).run(5, engine="batch")
-        streamed = StreamingFleetEngine(
-            _make_sim(chain9, grid9), chunk_slots=7
-        ).run(5)
-        try:
-            assert np.array_equal(batch.per_user_cost, streamed.per_user_cost)
-            assert batch.total_cost == streamed.total_cost
-            assert batch.total_migrations == streamed.total_migrations
-            assert streamed.n_users == 6
-            assert streamed.horizon == HORIZON
-        finally:
-            streamed.close()
+        streamed = _stored(_make_sim(chain9, grid9), 5, tmp_path / "ep")
+        assert np.array_equal(batch.per_user_cost, streamed.per_user_cost)
+        assert batch.total_cost == streamed.total_cost
+        assert batch.total_migrations == streamed.total_migrations
+        assert streamed.n_users == 6
+        assert streamed.horizon == HORIZON
 
-    def test_plane_chunks_cover_the_horizon(self, chain9, grid9):
-        streamed = StreamingFleetEngine(
-            _make_sim(chain9, grid9), chunk_slots=7
-        ).run(5)
-        try:
-            batch = _make_sim(chain9, grid9).run(5, engine="batch")
-            rebuilt = np.concatenate(
-                [chunk for _, _, chunk in streamed.iter_plane_chunks()], axis=1
-            )
-            assert np.array_equal(rebuilt, batch.observations.trajectories)
-            edges = [start for start, _, _ in streamed.iter_plane_chunks()]
-            assert edges == [0, 7, 14, 21, 28]
-        finally:
-            streamed.close()
+    def test_plane_chunks_cover_the_horizon(self, chain9, grid9, tmp_path):
+        streamed = _stored(_make_sim(chain9, grid9), 5, tmp_path / "ep")
+        batch = _make_sim(chain9, grid9).run(5, engine="batch")
+        rebuilt = np.concatenate(
+            [chunk for _, _, chunk in streamed.iter_plane_chunks()], axis=1
+        )
+        assert np.array_equal(rebuilt, batch.observations.trajectories)
+        edges = [start for start, _, _ in streamed.iter_plane_chunks()]
+        assert edges == [0, 7, 14, 21, 28]
 
 
 # ----------------------------------------------------------------------
@@ -314,41 +301,100 @@ class TestIncrementalEvaluate:
 # ----------------------------------------------------------------------
 
 
+class _Crash(RuntimeError):
+    pass
+
+
+def _crashing_store(commit: str):
+    """An episode store whose ``commit`` of chunk 1 raises, once.
+
+    ``commit`` is one of a chunk's three writes, in commit order:
+    ``"histories"`` and ``"per_slot"`` (chunk shards), then ``"carry"``
+    (the kernel's carry snapshot).
+    """
+
+    class CrashingStore(EpisodeStore):
+        armed = True
+
+        def _maybe_crash(self, kind: str, index: int) -> None:
+            if CrashingStore.armed and (kind, index) == (commit, 1):
+                CrashingStore.armed = False
+                raise _Crash(f"crash while committing {kind}-{index}")
+
+        def append_chunk(self, kind, index, array):
+            self._maybe_crash(kind, index)
+            return super().append_chunk(kind, index, array)
+
+        def save_state(self, index, **arrays):
+            self._maybe_crash("carry", index)
+            return super().save_state(index, **arrays)
+
+    return CrashingStore
+
+
+class _CountingStore(EpisodeStore):
+    """An episode store that counts its writes."""
+
+    def __init__(self, root) -> None:
+        super().__init__(root)
+        self.writes: list[str] = []
+
+    def create_plane(self, name, shape, dtype=np.int64):
+        self.writes.append(f"plane-{name}")
+        return super().create_plane(name, shape, dtype)
+
+    def append_chunk(self, kind, index, array):
+        self.writes.append(f"{kind}-{index}")
+        return super().append_chunk(kind, index, array)
+
+    def save_state(self, index, **arrays):
+        self.writes.append(f"carry-{index}")
+        return super().save_state(index, **arrays)
+
+
 class TestResumableEpisodes:
+    #: What the store holds after a crash at each commit of chunk 1.
+    CRASH_STATES = {
+        "histories": ([0], [0], [0]),
+        "per_slot": ([0, 1], [0], [0]),
+        "carry": ([0, 1], [0, 1], [0]),
+    }
+
     def test_interrupted_episode_resumes_bit_identically(
         self, chain9, regime9, grid9, tmp_path
     ):
         timeline = _edge_timeline(regime9)
         batch = _make_sim(chain9, grid9, timeline).run(11, engine="batch")
-        store = EpisodeStore(tmp_path / "episode")
-        first = StreamingFleetEngine(
-            _make_sim(chain9, grid9, timeline), chunk_slots=7, store=store
-        )
-        assert first.run(11, stop_after_chunks=2) is None
-        assert set(store.completed("histories")) == {0, 1}
-        # A fresh engine over the same store picks up at chunk 2.
-        second = StreamingFleetEngine(
-            _make_sim(chain9, grid9, timeline),
-            chunk_slots=7,
-            store=EpisodeStore(tmp_path / "episode"),
-        )
-        streamed = second.run(11)
-        assert streamed is not None
-        report = streamed.materialise()
-        assert_reports_identical(batch, report)
+        for commit, committed in self.CRASH_STATES.items():
+            root = tmp_path / commit
+            with pytest.raises(_Crash):
+                _stored(
+                    _make_sim(chain9, grid9, timeline),
+                    11,
+                    root,
+                    store_class=_crashing_store(commit),
+                )
+            store = EpisodeStore(root)
+            held = tuple(
+                store.completed(kind) for kind in ("histories", "per_slot", "carry")
+            )
+            assert held == committed, commit
+            # A fresh simulation over the reopened store resumes after
+            # chunk 0, the last one with a carry snapshot, and rewrites
+            # whatever chunk 1 had committed before the crash.
+            resumed = _stored(_make_sim(chain9, grid9, timeline), 11, root)
+            assert resumed.store.completed("carry") == [0, 1, 2, 3, 4], commit
+            assert_reports_identical(batch, resumed.materialise())
 
     def test_completed_episode_reloads_without_replay(
         self, chain9, grid9, tmp_path
     ):
-        store = EpisodeStore(tmp_path / "episode")
-        first = StreamingFleetEngine(
-            _make_sim(chain9, grid9), chunk_slots=7, store=store
-        ).run(3)
-        again = StreamingFleetEngine(
-            _make_sim(chain9, grid9),
-            chunk_slots=7,
-            store=EpisodeStore(tmp_path / "episode"),
-        ).run(3)
+        first = _stored(_make_sim(chain9, grid9), 3, tmp_path / "ep")
+        again = _stored(
+            _make_sim(chain9, grid9), 3, tmp_path / "ep", store_class=_CountingStore
+        )
+        # Neither sampled nor advanced again: nothing is written.
+        assert again.store.writes == []
         assert np.array_equal(first.per_user_cost, again.per_user_cost)
         assert np.array_equal(first.order, again.order)
         assert first.placement.as_dict() == again.placement.as_dict()
@@ -356,39 +402,16 @@ class TestResumableEpisodes:
     def test_store_rejects_a_different_episode(
         self, chain9, regime9, grid9, tmp_path
     ):
-        store = EpisodeStore(tmp_path / "episode")
-        StreamingFleetEngine(
-            _make_sim(chain9, grid9), chunk_slots=7, store=store
-        ).run(3, stop_after_chunks=1)
+        root = tmp_path / "episode"
+        _stored(_make_sim(chain9, grid9), 3, root)
         # Same seed and shape, different mobility chain: a resume would
         # splice the other chain's trajectories into this episode.
         with pytest.raises(ValueError, match="different episode"):
-            StreamingFleetEngine(
-                _make_sim(regime9, grid9),
-                chunk_slots=7,
-                store=EpisodeStore(tmp_path / "episode"),
-            ).run(3)
+            _stored(_make_sim(regime9, grid9), 3, root)
         with pytest.raises(ValueError, match="different episode"):
-            StreamingFleetEngine(
-                _make_sim(chain9, grid9),
-                chunk_slots=7,
-                store=EpisodeStore(tmp_path / "episode"),
-            ).run(4)
+            _stored(_make_sim(chain9, grid9), 4, root)
         with pytest.raises(ValueError, match="different episode"):
-            StreamingFleetEngine(
-                _make_sim(chain9, grid9),
-                chunk_slots=5,
-                store=EpisodeStore(tmp_path / "episode"),
-            ).run(3)
-
-    def test_ephemeral_store_is_destroyed_on_close(self, chain9, grid9):
-        streamed = StreamingFleetEngine(
-            _make_sim(chain9, grid9), chunk_slots=7
-        ).run(3)
-        root = streamed.store.root
-        assert root.is_dir()
-        streamed.close()
-        assert not root.exists()
+            _stored(_make_sim(chain9, grid9), 3, root, chunk_slots=5)
 
 
 # ----------------------------------------------------------------------
@@ -447,60 +470,6 @@ class TestEpisodeStore:
 
 
 # ----------------------------------------------------------------------
-# Region-sharded placement
-# ----------------------------------------------------------------------
-
-
-class TestShardedPlacement:
-    def test_partition_is_deterministic_and_total(self, grid9):
-        first = RegionPartition.build(grid9, 3)
-        second = RegionPartition.build(grid9, 3)
-        assert np.array_equal(first.labels, second.labels)
-        assert first.n_regions == 3
-        assert set(np.unique(first.labels)) == {0, 1, 2}
-        covered = np.concatenate([first.cells(r) for r in range(3)])
-        assert sorted(covered.tolist()) == list(range(9))
-
-    def test_partition_clamps_to_cell_count(self, grid9):
-        assert RegionPartition.build(grid9, 99).n_regions == 9
-        with pytest.raises(ValueError, match="n_regions"):
-            RegionPartition.build(grid9, 0)
-
-    @pytest.mark.parametrize("regions", [2, 4, 9])
-    @pytest.mark.parametrize("workers", [1, WORKERS])
-    def test_sharded_equals_serial_under_contention(
-        self, grid9, regions, workers
-    ):
-        # Capacity-2 sites with 16 services: heavy contention, constant
-        # cross-region traffic, every spill class exercised.
-        tight = MECTopology.from_grid(GridTopology(3, 3), capacity=2)
-        rng = np.random.default_rng(2017)
-        start = rng.integers(0, 9, size=16)
-        serial = PlacementEngine(tight)
-        sharded = ShardedPlacementEngine(tight, regions=regions, workers=workers)
-        current_a = serial.place_initial(start)
-        current_b = sharded.place_initial(start)
-        assert np.array_equal(current_a, current_b)
-        for _ in range(12):
-            desired = rng.integers(0, 9, size=16)
-            current_a = serial.resolve_moves(current_a, desired)
-            current_b = sharded.resolve_moves(current_b, desired)
-            assert np.array_equal(current_a, current_b)
-            assert np.array_equal(serial.load, sharded.load)
-        assert serial.stats.as_dict() == sharded.stats.as_dict()
-
-    def test_single_region_delegates_to_serial(self, grid9):
-        engine = ShardedPlacementEngine(grid9, regions=1)
-        cells = engine.place_initial(np.array([0, 0, 0, 0, 4]))
-        moved = engine.resolve_moves(cells, np.array([4, 4, 4, 4, 0]))
-        reference = PlacementEngine(grid9)
-        ref_cells = reference.place_initial(np.array([0, 0, 0, 0, 4]))
-        assert np.array_equal(
-            moved, reference.resolve_moves(ref_cells, np.array([4, 4, 4, 4, 0]))
-        )
-
-
-# ----------------------------------------------------------------------
 # Guarded full-plane materialisation
 # ----------------------------------------------------------------------
 
@@ -554,29 +523,27 @@ class TestResultCacheOrphans:
 class TestStreamingKnobs:
     def test_fleet_flags_reach_the_config(self):
         parser = build_parser()
-        args = parser.parse_args(
-            ["fleet", "--stream", "--chunk-slots", "7", "--regions", "3"]
-        )
+        with pytest.raises(SystemExit):
+            parser.parse_args(["fleet", "--regions", "3"])
+        args = parser.parse_args(["fleet", "--stream", "--chunk-slots", "7"])
         config = _build_config(args, "fleet")
         assert config.stream is True
         assert config.chunk_slots == 7
-        assert config.regions == 3
 
     def test_flags_default_off(self):
         parser = build_parser()
         config = _build_config(parser.parse_args(["fleet"]), "fleet")
         assert config.stream is False
         assert config.chunk_slots == 64
-        assert config.regions == 1
 
     def test_knobs_survive_config_round_trip(self):
         from repro.sim.config import FleetExperimentConfig
 
-        config = FleetExperimentConfig(stream=True, chunk_slots=7, regions=3)
+        config = FleetExperimentConfig(stream=True, chunk_slots=7)
         again = FleetExperimentConfig.from_dict(config.to_dict())
-        assert (again.stream, again.chunk_slots, again.regions) == (True, 7, 3)
+        assert (again.stream, again.chunk_slots) == (True, 7)
         scaled = config.scaled(n_users=4)
-        assert (scaled.stream, scaled.chunk_slots, scaled.regions) == (True, 7, 3)
+        assert (scaled.stream, scaled.chunk_slots) == (True, 7)
 
     def test_cli_streams_end_to_end(self, tmp_path, capsys):
         code = main(
@@ -595,8 +562,6 @@ class TestStreamingKnobs:
                 "--stream",
                 "--chunk-slots",
                 "3",
-                "--regions",
-                "2",
                 "--no-cache",
             ]
         )

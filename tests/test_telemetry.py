@@ -28,11 +28,15 @@ from repro.mec.fleet import (
     FleetSimulationConfig,
     run_fleet_monte_carlo,
 )
-from repro.mec.streaming import StreamingFleetEngine
 from repro.mec.topology import MECTopology
 from repro.mobility.grid import GridTopology
 from repro.mobility.models import paper_synthetic_models
-from repro.sim.cache import EXECUTION_ONLY_KEYS, ResultCache, experiment_cache_key
+from repro.sim.cache import (
+    EXECUTION_ONLY_KEYS,
+    EpisodeStore,
+    ResultCache,
+    experiment_cache_key,
+)
 from repro.sim.config import FleetExperimentConfig
 from repro.sim.results import ExperimentResult
 from repro.telemetry import (
@@ -291,7 +295,6 @@ class TestBitIdentity:
                 workers=workers,
                 engine="batch" if engine == "loop" else engine,
                 chunk_slots=10,
-                regions=2,
                 run_stack=run_stack,
                 recorder=recorder,
             )
@@ -326,34 +329,36 @@ class TestBitIdentity:
             for span in recorder.spans
         )
 
-    def test_streaming_records_spill_spans(self, chain9):
+    def test_streaming_records_spill_spans(self, chain9, tmp_path):
         recorder = Recorder(clock=default_clock)
-        streamed = StreamingFleetEngine(
-            _simulation(chain9), chunk_slots=10, recorder=recorder
-        ).run(5)
-        try:
-            streamed.evaluate(chain9, MaximumLikelihoodDetector())
-        finally:
-            streamed.close()
+        streamed = _simulation(chain9).run_stacked(
+            [5],
+            engine="stream",
+            chunk_slots=10,
+            store=EpisodeStore(tmp_path / "ep"),
+            recorder=recorder,
+        )
+        streamed.evaluate(chain9, MaximumLikelihoodDetector())
         names = {span["name"] for span in recorder.spans}
         assert "kernel/spill" in names
         assert "kernel/detect" in names
         assert recorder.counters["placement/admitted"] > 0
 
-    def test_refused_stream_evaluation_closes_its_span(self, chain9):
+    def test_refused_stream_evaluation_closes_its_span(self, chain9, tmp_path):
         class _FailingDetector(MaximumLikelihoodDetector):
             def row_scores(self, chain, windows, *, transition_stack=None):
                 raise RuntimeError("scoring failed")
 
         recorder = Recorder(clock=FakeClock())
-        streamed = StreamingFleetEngine(
-            _simulation(chain9), chunk_slots=10, recorder=recorder
-        ).run(5)
-        try:
-            with pytest.raises(RuntimeError, match="scoring failed"):
-                streamed.evaluate(chain9, _FailingDetector())
-        finally:
-            streamed.close()
+        streamed = _simulation(chain9).run_stacked(
+            [5],
+            engine="stream",
+            chunk_slots=10,
+            store=EpisodeStore(tmp_path / "ep"),
+            recorder=recorder,
+        )
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            streamed.evaluate(chain9, _FailingDetector())
         with recorder.span("after"):
             pass
         refused, after = recorder.spans[-2:]
